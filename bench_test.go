@@ -238,7 +238,7 @@ func BenchmarkAblation(b *testing.B) {
 // pops per second of wall time (the same ops/sec the batchsweep experiment
 // records in BENCH_PR2.json).
 func BenchmarkParallelSSSP(b *testing.B) {
-	g := relaxsched.RoadGraph(120, 120, 1000, 100, 7)
+	g := relaxsched.RoadGraphWith(relaxsched.RoadGraphOptions{Width: 120, Height: 120, MaxWeight: 1000, DropPerMille: 100, Seed: 7})
 	for _, backend := range relaxsched.QueueBackends() {
 		for _, batch := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/batch%d", backend, batch), func(b *testing.B) {
@@ -256,7 +256,9 @@ func BenchmarkParallelSSSP(b *testing.B) {
 // BenchmarkBatchSweep regenerates the batchsweep experiment (the
 // BENCH_PR2.json trajectory) at benchmark scale; the reported metrics are
 // the road-graph ops/sec of the default backend unbatched vs. at the
-// largest batch, i.e. the headline amortization win.
+// largest batch, i.e. the headline amortization win, plus every backend's
+// batch-1 overhead and ops/sec — the cq design axis head-to-head — at the
+// highest thread count.
 func BenchmarkBatchSweep(b *testing.B) {
 	c := benchConfig()
 	var last experiments.BatchSweepResult
@@ -265,30 +267,20 @@ func BenchmarkBatchSweep(b *testing.B) {
 	}
 	maxBatch := experiments.BatchSweepSizes[len(experiments.BatchSweepSizes)-1]
 	for _, row := range last.Rows {
-		if row.Threads == c.MaxThreads && row.Graph == "road" && row.Backend == "multiqueue" {
+		if row.Threads != c.MaxThreads || row.Graph != "road" {
+			continue
+		}
+		if row.Batch == 1 {
+			b.ReportMetric(row.Overhead, row.Backend+"-overhead")
+			b.ReportMetric(row.OpsPerSec, row.Backend+"-ops/sec")
+		}
+		if row.Backend == "multiqueue" {
 			switch row.Batch {
 			case 1:
 				b.ReportMetric(row.OpsPerSec, "unbatched-ops/sec")
 			case maxBatch:
 				b.ReportMetric(row.OpsPerSec, fmt.Sprintf("batch%d-ops/sec", maxBatch))
 			}
-		}
-	}
-}
-
-// BenchmarkBackends compares the concurrent queue backends head-to-head on
-// parallel SSSP (the cq design axis); the reported metrics are each
-// backend's road-graph overhead and ops/sec at the highest thread count.
-func BenchmarkBackends(b *testing.B) {
-	c := benchConfig()
-	var last experiments.BackendsResult
-	for i := 0; i < b.N; i++ {
-		last = experiments.Backends(c)
-	}
-	for _, row := range last.Rows {
-		if row.Threads == c.MaxThreads && row.Graph == "road" {
-			b.ReportMetric(row.Overhead, row.Backend+"-overhead")
-			b.ReportMetric(row.OpsPerSec, row.Backend+"-ops/sec")
 		}
 	}
 }

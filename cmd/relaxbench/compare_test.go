@@ -192,7 +192,7 @@ func TestCompareRecordedTrajectories(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, exp := range []string{"backends", "parbnb", "parmis"} {
+		for _, exp := range []string{"batchsweep", "parbnb", "parmis"} {
 			if err := run(exp, cfg, output{w: io.Discard, record: f}); err != nil {
 				t.Fatalf("%s: %v", exp, err)
 			}
@@ -205,7 +205,7 @@ func TestCompareRecordedTrajectories(t *testing.T) {
 	if err := compare(paths[0], paths[1], &buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, exp := range []string{"backends", "parbnb", "parmis"} {
+	for _, exp := range []string{"batchsweep", "parbnb", "parmis"} {
 		if !strings.Contains(buf.String(), "== "+exp) {
 			t.Fatalf("compare output missing experiment %s:\n%s", exp, buf.String())
 		}

@@ -13,8 +13,8 @@
 //	fig1-overhead Figure 1 left only
 //	fig1-speedup  Figure 1 right only
 //	fig2          Figure 2: overhead vs. queue multiplier
-//	backends      concurrent queue backends head-to-head on parallel SSSP
-//	batchsweep    batch size x backend x threads on parallel SSSP
+//	batchsweep    batch size x backend x threads on parallel SSSP (its
+//	              batch-1 column is the backends head-to-head)
 //	thm33         Theorem 3.3: extra steps vs. n and k (adversarial)
 //	thm51         Theorem 5.1 / Claim 1: MultiQueue lower bound
 //	thm61         Theorem 6.1: relaxed SSSP pop counts
@@ -40,11 +40,12 @@
 //	              stalls, forced re-insertions, poisoned tasks) vs. the
 //	              fault-free baseline, with every run's books verified
 //	              against the injector's ground truth (extension)
-//	idlecost      idle CPU cost and wake-up latency of the engine's idle
-//	              strategies: a stream held idle under parking vs. spinning
-//	              workers, then hit with a burst — process CPU over the
-//	              quiet window next to the burst's sojourn-latency
-//	              quantiles (extension)
+//	idlecost      idle CPU cost and wake-up latency of the engine's
+//	              parking idle path: a stream held idle, then hit with a
+//	              burst — process CPU over the quiet window next to the
+//	              burst's sojourn-latency quantiles (extension)
+//	txn           OCC transactional workload: backends x Zipf skews x
+//	              threads, every run certified serializable (extension)
 //	all           everything above
 //
 // The compare subcommand diffs two recorded trajectories:
@@ -60,7 +61,7 @@
 // Flags control workload scale; -scale 1 is the full-size run used in
 // EXPERIMENTS.md, larger values shrink the workloads proportionally.
 // -backend runs the parallel experiments on a specific concurrent queue
-// (the backends and batchsweep experiments always sweep all of them), and
+// (the batchsweep experiment always sweeps all of them), and
 // -json replaces the text tables with one machine-readable JSON object per
 // experiment on stdout. -out FILE additionally writes the same JSON-lines
 // stream to FILE regardless of -json, which is how the per-PR BENCH_*.json
@@ -71,7 +72,7 @@
 // heap profile is written after the last one), so hot-path work on the
 // queue backends can be profiled without ad-hoc patching:
 //
-//	relaxbench -scale 64 -cpuprofile cpu.pprof backends
+//	relaxbench -scale 64 -cpuprofile cpu.pprof batchsweep
 //	go tool pprof cpu.pprof
 package main
 
@@ -261,7 +262,6 @@ func withErr[R renderable](f func(experiments.Config) (R, error)) func(experimen
 var experimentTable = map[string]experimentSpec{
 	"graphs":      {"Input families (Section 7 sample graphs)", noErr(experiments.Graphs)},
 	"fig2":        {"Figure 2: SSSP relaxation overhead vs. queue multiplier", noErr(func(c experiments.Config) experiments.Fig2Result { return experiments.Fig2(c, nil) })},
-	"backends":    {"Concurrent queue backends head-to-head (parallel SSSP)", noErr(experiments.Backends)},
 	"batchsweep":  {"Batch amortization: batch size x backend x threads (parallel SSSP)", noErr(experiments.BatchSweep)},
 	"thm33":       {"Theorem 3.3: extra steps under the adversarial k-relaxed scheduler", withErr(experiments.Thm33)},
 	"thm51":       {"Theorem 5.1 / Claim 1: MultiQueue lower bound (extra steps >= (1/8) ln n)", withErr(experiments.Thm51)},
@@ -278,11 +278,11 @@ var experimentTable = map[string]experimentSpec{
 	"affinity":    {"Extension: shard-affine vs. uniform handle placement (lock-free backend microbenchmark)", noErr(experiments.Affinity)},
 	"chaos":       {"Extension: fault-injection overhead (seeded stalls, forced blocks, poisoned tasks; backends x threads)", withErr(experiments.Chaos)},
 	"txn":         {"Extension: OCC transactional workload (self-certifying serializability; backends x Zipf skews x threads)", withErr(experiments.Txn)},
-	"idlecost":    {"Extension: idle CPU cost and wake-up latency of the parking vs. spinning idle strategies", withErr(experiments.IdleCost)},
+	"idlecost":    {"Extension: idle CPU cost and wake-up latency of the parking idle path", withErr(experiments.IdleCost)},
 }
 
 // allOrder is the order `relaxbench all` runs experiments in.
-var allOrder = []string{"graphs", "fig1", "fig2", "backends", "batchsweep", "thm33", "thm51", "thm61", "thm43", "ablation", "parinc", "iterative", "bnb", "parbnb", "parmis", "pardelaunay", "stream", "affinity", "chaos", "idlecost", "txn"}
+var allOrder = []string{"graphs", "fig1", "fig2", "batchsweep", "thm33", "thm51", "thm61", "thm43", "ablation", "parinc", "iterative", "bnb", "parbnb", "parmis", "pardelaunay", "stream", "affinity", "chaos", "idlecost", "txn"}
 
 // knownExperiment reports whether exp is a name run can dispatch.
 func knownExperiment(exp string) bool {

@@ -16,7 +16,7 @@ import (
 func TestRunDispatchAllExperiments(t *testing.T) {
 	cfg := experiments.Config{Seed: 1, Trials: 1, GraphScale: 128, MaxThreads: 2}
 	for _, exp := range []string{
-		"graphs", "fig1", "fig1-overhead", "fig1-speedup", "fig2", "backends", "batchsweep",
+		"graphs", "fig1", "fig1-overhead", "fig1-speedup", "fig2", "batchsweep",
 		"thm33", "thm51", "thm61", "thm43", "ablation", "parinc", "iterative", "bnb",
 		"parbnb", "parmis", "pardelaunay", "stream", "affinity", "chaos",
 	} {
@@ -43,7 +43,7 @@ func TestRunHonorsBackendConfig(t *testing.T) {
 func TestRunJSONOutput(t *testing.T) {
 	cfg := experiments.Config{Seed: 1, Trials: 1, GraphScale: 256, MaxThreads: 2}
 	var buf bytes.Buffer
-	exps := []string{"graphs", "fig1", "backends", "parinc"}
+	exps := []string{"graphs", "fig1", "batchsweep", "parinc"}
 	for _, exp := range exps {
 		if err := run(exp, cfg, output{json: true, w: &buf}); err != nil {
 			t.Fatalf("%s: %v", exp, err)
@@ -71,25 +71,6 @@ func TestRunJSONOutput(t *testing.T) {
 	for i, exp := range exps {
 		if seen[i] != exp {
 			t.Fatalf("object %d is %q, want %q", i, seen[i], exp)
-		}
-	}
-}
-
-// The backends experiment must report every registered backend so recorded
-// trajectories always compare the full design space.
-func TestBackendsExperimentCoversAllBackends(t *testing.T) {
-	cfg := experiments.Config{Seed: 1, Trials: 1, GraphScale: 256, MaxThreads: 2}
-	res := experiments.Backends(cfg)
-	got := map[string]bool{}
-	for _, row := range res.Rows {
-		got[row.Backend] = true
-		if row.OpsPerSec <= 0 {
-			t.Fatalf("%s/%s: non-positive ops/sec", row.Graph, row.Backend)
-		}
-	}
-	for _, b := range cq.Backends() {
-		if !got[string(b)] {
-			t.Fatalf("backend %s missing from results", b)
 		}
 	}
 }
@@ -131,7 +112,8 @@ func TestRecordStreamAlwaysJSON(t *testing.T) {
 }
 
 // The batchsweep experiment must cover every backend and carry the
-// unbatched baseline, so a recorded trajectory is self-contained.
+// batch-1 baseline — the backends head-to-head — so a recorded trajectory
+// always compares the full design space and is self-contained.
 func TestBatchSweepCoversBackendsAndBaseline(t *testing.T) {
 	cfg := experiments.Config{Seed: 1, Trials: 1, GraphScale: 512, MaxThreads: 2}
 	res := experiments.BatchSweep(cfg)
@@ -153,6 +135,40 @@ func TestBatchSweepCoversBackendsAndBaseline(t *testing.T) {
 	}
 	if !baseline {
 		t.Fatal("batchsweep lacks the batch=1 baseline")
+	}
+}
+
+// The backends head-to-head lives in batchsweep's batch-1 column: every
+// registered backend must appear there on every graph family, so recorded
+// trajectories always compare the full design space at the unbatched point.
+func TestBackendsExperimentCoversAllBackends(t *testing.T) {
+	cfg := experiments.Config{Seed: 1, Trials: 1, GraphScale: 256, MaxThreads: 2}
+	res := experiments.BatchSweep(cfg)
+	got := map[string]map[string]bool{}
+	for _, row := range res.Rows {
+		if row.Batch != 1 {
+			continue
+		}
+		if got[row.Graph] == nil {
+			got[row.Graph] = map[string]bool{}
+		}
+		got[row.Graph][row.Backend] = true
+		if row.OpsPerSec <= 0 {
+			t.Fatalf("%s/%s: non-positive ops/sec", row.Graph, row.Backend)
+		}
+	}
+	if len(got) != len(experiments.Families()) {
+		t.Fatalf("batch-1 column covers %d graph families, want %d", len(got), len(experiments.Families()))
+	}
+	for graph, backends := range got {
+		for _, b := range cq.Backends() {
+			if !backends[string(b)] {
+				t.Fatalf("%s: backend %s missing from the batch-1 column", graph, b)
+			}
+		}
+	}
+	if knownExperiment("backends") {
+		t.Fatal(`"backends" is still dispatched; it is batchsweep's batch-1 column`)
 	}
 }
 

@@ -17,10 +17,11 @@
 //     heap-backed scheduler, an adversarial k-relaxed scheduler, a uniform
 //     top-k scheduler, a deterministic k-LSM-style batch scheduler, the
 //     MultiQueue, and a SprayList;
-//   - a pluggable concurrent relaxed-queue layer (internal/cq) with three
+//   - a pluggable concurrent relaxed-queue layer (internal/cq) with four
 //     backends — the lock-per-queue MultiQueue with 2-choice pops, a lazy
-//     lock-based skip list with spray-height pops, and a lock-free
-//     MultiQueue of mutable pairing-heap shards (a pop privatizes a whole
+//     lock-based skip list with spray-height pops, the strict-order exact
+//     control (one heap behind one mutex), and a lock-free MultiQueue of
+//     mutable pairing-heap shards (a pop privatizes a whole
 //     shard by swapping its root to nil, harvests minima in place, and
 //     republishes the remainder; detached nodes are retired through
 //     epoch-based reclamation, internal/epoch, and reused from per-worker
@@ -36,7 +37,8 @@
 //     must pass through the singleton, batch and handle paths;
 //   - a generic parallel relaxed-execution engine (internal/engine) that
 //     every concurrent path is a thin workload over: the engine owns the
-//     worker loops (singleton and batch-amortized), the Ctx.Spawn task
+//     worker loop (batch-amortized; batch size 1 is the per-element
+//     protocol), the Ctx.Spawn task
 //     production protocol and the in-flight termination counters
 //     (internal/inflight), while a workload only implements Frontier and
 //     TryExecute. The layer stack is workloads -> engine -> cq backends:
@@ -105,8 +107,12 @@
 //
 // # Quick start
 //
-//	g := relaxsched.RandomGraph(100000, 500000, 100, 1)
-//	res := relaxsched.ParallelSSSP(g, 0, 8, 2, 42)
+//	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{
+//		N: 100000, M: 500000, MaxWeight: 100, Seed: 1,
+//	})
+//	res := relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{
+//		ExecOptions: relaxsched.ExecOptions{Threads: 8, QueueMultiplier: 2, Seed: 42},
+//	})
 //	fmt.Printf("overhead %.3f\n", res.Overhead())
 //
 // To run the same computation over a different concurrent queue design,

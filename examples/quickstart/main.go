@@ -20,7 +20,7 @@ import (
 
 func main() {
 	// --- SSSP four ways -------------------------------------------------
-	g := relaxsched.RandomGraph(20000, 100000, 100, 1)
+	g := relaxsched.RandomGraphWith(relaxsched.RandomGraphOptions{N: 20000, M: 100000, MaxWeight: 100, Seed: 1})
 	exact := relaxsched.Dijkstra(g, 0)
 	fmt.Printf("Dijkstra:        reached %d vertices, %d pops\n", exact.Reached, exact.Pops)
 
@@ -28,7 +28,7 @@ func main() {
 	fmt.Printf("Delta-stepping:  %d pops (same distances: %v)\n",
 		ds.Pops, equal(exact.Dist, ds.Dist))
 
-	mq := relaxsched.NewMultiQueue(g.NumNodes, 8, 2, true /* hashed: DecreaseKey */, 7)
+	mq := relaxsched.NewMultiQueueWith(relaxsched.MultiQueueOptions{N: g.NumNodes, Queues: 8, Choices: 2, Hashed: true, Seed: 7})
 	rel, err := relaxsched.RelaxedSSSP(g, 0, mq)
 	if err != nil {
 		log.Fatal(err)
@@ -36,7 +36,7 @@ func main() {
 	fmt.Printf("Relaxed (model): %d pops, overhead %.4f (Theorem 6.1 regime)\n",
 		rel.Pops, rel.Overhead())
 
-	par := relaxsched.ParallelSSSP(g, 0, 4, 2, 42)
+	par := relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{ExecOptions: relaxsched.ExecOptions{Threads: 4, QueueMultiplier: 2, Seed: 42}})
 	fmt.Printf("Parallel x4:     %d tasks processed, overhead %.4f\n",
 		par.Processed, par.Overhead())
 
@@ -73,7 +73,7 @@ func main() {
 	fmt.Printf("Delaunay:        %d points -> %d triangles\n", len(pts), len(tris))
 
 	// --- Measuring a scheduler's actual relaxation ----------------------
-	aud := relaxsched.NewAuditor(relaxsched.NewMultiQueue(5000, 8, 2, false, 3), 256)
+	aud := relaxsched.NewAuditor(relaxsched.NewMultiQueueWith(relaxsched.MultiQueueOptions{N: 5000, Queues: 8, Choices: 2, Seed: 3}), 256)
 	for i := 0; i < 5000; i++ {
 		aud.Insert(i, int64(i))
 	}

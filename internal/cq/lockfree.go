@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -48,7 +49,11 @@ import (
 // lines it already owns instead of scattering across all shards — the
 // per-core-data discipline of ddtxn applied to the MultiQueue. The plain
 // Queue/BatchQueue methods still work for identity-less callers by
-// borrowing an anonymous pooled handle per operation.
+// borrowing an anonymous pooled handle per operation; anonymous handles
+// have no home shard and place uniformly, because an identity-less caller
+// (a test filling the queue, the engine seeding its frontier) is one
+// goroutine standing in for many, and giving it a home would pile every
+// one of its pushes into a single shard.
 //
 // Like the other backends it keeps no global element counter; Len sums
 // per-shard atomic sizes and is exact only at quiescence.
@@ -65,7 +70,7 @@ type LockFreeMQ struct {
 	affine bool
 	// anon pools single-operation handles for the plain Queue/BatchQueue
 	// methods; sync.Pool's per-P caching gives even anonymous callers
-	// stable epoch slots and home shards.
+	// stable epoch slots. Pooled handles have no home shard (home < 0).
 	anon sync.Pool
 }
 
@@ -165,7 +170,7 @@ func newLockFreeMQ(q int, affine bool) *LockFreeMQ {
 		dom:    epoch.NewDomain[lfnode](),
 		affine: affine,
 	}
-	c.anon.New = func() any { return c.NewHandle() }
+	c.anon.New = func() any { return &lfHandle{q: c, slot: c.dom.Register(), home: -1} }
 	return c
 }
 
@@ -177,8 +182,9 @@ func (c *LockFreeMQ) NumQueues() int { return len(c.queues) }
 // backends that claim so.
 func (c *LockFreeMQ) RecyclesNodes() bool { return true }
 
-// Len sums the per-shard element counts. Only meaningful at quiescence;
-// tests and diagnostics only.
+// Len sums the per-shard element counts. Exact only at quiescence;
+// otherwise a hint (elements held by an owner between take and republish
+// still count).
 func (c *LockFreeMQ) Len() int {
 	total := int64(0)
 	for qi := range c.queues {
@@ -235,12 +241,16 @@ func (c *LockFreeMQ) PopBatch(r *rng.Xoshiro, dst []Pair) int {
 }
 
 // lfHandle is one worker's session: its epoch slot (reclamation identity)
-// and home shard (placement identity). Single-goroutine.
+// and home shard (placement identity; -1 for the anonymous pooled handles,
+// which place uniformly). Single-goroutine.
 type lfHandle struct {
 	q    *LockFreeMQ
 	slot *epoch.Slot[lfnode]
 	home int
 }
+
+// affine reports whether this handle places and probes home-first.
+func (h *lfHandle) affine() bool { return h.q.affine && h.home >= 0 }
 
 // Close releases the epoch slot for reuse by a future handle. The home
 // shard needs no release — affinity is advisory, elements in it stay
@@ -266,7 +276,7 @@ func publish(s *lfshard, h *lfnode) {
 // shard returns the handle's placement choice for a push: the home shard
 // under affinity, a uniformly random one otherwise.
 func (h *lfHandle) shard(r *rng.Xoshiro) *lfshard {
-	if h.q.affine {
+	if h.affine() {
 		return &h.q.queues[h.home]
 	}
 	return &h.q.queues[r.Intn(len(h.q.queues))]
@@ -358,9 +368,9 @@ func (h *lfHandle) better(a, b *lfshard) *lfshard {
 // the handle's epoch slot for eventual reuse), and republishes the
 // remainder. Under affinity the first probe pairs the home shard with one
 // random shard — two-choice quality, cache-local on the common path; later
-// probes and the non-affine mode draw both uniformly. After bounded probe
-// attempts it falls back to a full scan, so 0 is returned only when every
-// shard looked empty at inspection time.
+// probes, anonymous handles and the non-affine mode draw both uniformly.
+// After bounded probe attempts it falls back to a full scan, so 0 is
+// returned only when every shard looked empty at inspection time.
 //
 //relax:hotpath
 func (h *lfHandle) PopBatch(r *rng.Xoshiro, dst []Pair) int {
@@ -371,7 +381,7 @@ func (h *lfHandle) PopBatch(r *rng.Xoshiro, dst []Pair) int {
 	nq := len(q.queues)
 	for try := 0; try < contentionAttempts; try++ {
 		var a *lfshard
-		if q.affine && try == 0 {
+		if try == 0 && h.affine() {
 			a = &q.queues[h.home]
 		} else {
 			a = &q.queues[r.Intn(nq)]
@@ -395,6 +405,14 @@ func (h *lfHandle) PopBatch(r *rng.Xoshiro, dst []Pair) int {
 		if n := h.takeFrom(&q.queues[qi], dst); n > 0 {
 			return n
 		}
+	}
+	// Every root was nil, yet the sizes still count elements: they sit in
+	// heaps other poppers own between take and republish. If an owner has
+	// been descheduled (more poppers than cores, a GC stop), a caller that
+	// re-polls at once only burns the time slice the owner needs to
+	// republish, so yield it.
+	if q.Len() > 0 {
+		runtime.Gosched()
 	}
 	return 0
 }

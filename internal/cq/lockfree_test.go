@@ -138,6 +138,36 @@ func TestLockFreeUniformVariant(t *testing.T) {
 	}
 }
 
+// Anonymous pushes — the plain Queue API from one goroutine, as a test
+// fill or the engine's frontier seeder issues them — must scatter across
+// the shards instead of piling into one pooled handle's home shard: a
+// single-heap queue serializes every popper behind one Swap. Worker
+// handles keep their affinity.
+func TestLockFreeAnonymousPushesScatter(t *testing.T) {
+	const shards, n = 8, 24000
+	q := NewLockFreeMQ(shards)
+	r := rng.New(3)
+	for i := 0; i < n; i++ {
+		q.Push(r, int64(i), int64(i))
+	}
+	fair := int64(n / shards)
+	for i := range q.queues {
+		if got := q.queues[i].size.Load(); got > 2*fair {
+			t.Fatalf("shard %d holds %d of %d anonymous pushes, fair share %d", i, got, n, fair)
+		}
+	}
+
+	h := q.NewHandle().(*lfHandle)
+	defer h.Close()
+	before := q.queues[h.home].size.Load()
+	for i := 0; i < 100; i++ {
+		h.Push(r, int64(i), int64(i))
+	}
+	if got := q.queues[h.home].size.Load() - before; got != 100 {
+		t.Fatalf("worker handle placed %d of 100 pushes on its home shard", got)
+	}
+}
+
 // Steady-state traffic through a handle must reuse retired nodes by
 // pointer identity: after the epoch pipeline warms up, pops feed pushes.
 func TestLockFreeNodeReuse(t *testing.T) {

@@ -40,29 +40,27 @@
 // An idle worker does not poll. After a short backoff prefix (a few
 // yields, then a few escalating sleeps — the fast path for sub-millisecond
 // gaps), it parks on a per-worker slot in an internal/park lot and
-// consumes no CPU until an event wakes it. Options.IdleStrategy selects
-// the legacy bounded-sleep polling loop instead (IdleSpin), for
-// benchmarking the difference.
+// consumes no CPU until an event wakes it.
 //
 // Parking is only sound if no worker can sleep while work it should serve
 // is, or becomes, visible. The invariant maintained here is: every action
 // that makes tasks queue-visible to an idle worker is followed by a wake —
-// Ctx.Spawn pushes and out-buffer flushes wake one worker per pair,
+// a worker's out-buffer flushes (its Ctx.Spawn pushes and its Blocked
+// re-insertions alike) wake one worker per flushed pair,
 // Producer.Push/PushBatch/Flush wake after their pushes, Producer.Close
 // and Stop broadcast (WakeAll), and a worker that observes quiescence
-// broadcasts before exiting so its parked peers re-check and exit too. The
-// one deliberate exception is a worker re-inserting its own Blocked pair:
-// it keeps responsibility for that pair itself — it continues looping, and
-// its own park path rechecks the queue before sleeping — so no wake is
-// needed. On the parking side, a worker about to park samples its wakeup
-// token, and after announcing itself parked re-checks (park.Lot's cancel
-// callback) the stop flag, the termination scan and the queue's
-// authoritative Len — so a push that raced ahead of the announce is always
-// seen, and a wake that raced behind it always lands (the token/sema
-// protocol; internal/park's package comment carries the lost-wakeup
-// proof). Termination remains exact: parked workers hold no tasks and no
-// buffered pairs (buffers are flushed before the first idle pop), so the
-// inflight double scan's truth is unaffected by who is asleep.
+// broadcasts before exiting so its parked peers re-check and exit too.
+// There is no exception: the one worker loop has a single push path, so a
+// re-inserted Blocked pair wakes exactly like a spawned one. On the
+// parking side, a worker about to park samples its wakeup token, and after
+// announcing itself parked re-checks (park.Lot's cancel callback) the stop
+// flag, the termination scan and the queue's authoritative Len — so a
+// push that raced ahead of the announce is always seen, and a wake that
+// raced behind it always lands (the token/sema protocol; internal/park's
+// package comment carries the lost-wakeup proof). Termination remains
+// exact: parked workers hold no tasks and no buffered pairs (buffers are
+// flushed before the first idle pop), so the inflight double scan's truth
+// is unaffected by who is asleep.
 //
 // # Failure semantics
 //
@@ -100,25 +98,16 @@ import (
 
 // Idle backoff for workers that keep finding the queue empty: a few
 // Gosched yields first (another worker's push is usually in flight), then
-// sleeps that escalate exponentially from idleSleepBase up to idleSleepCap.
-// The sleep matters under oversubscription — spinning idle workers
-// otherwise steal scheduler timeslices from the workers actually producing
-// tasks during frontier ramp-up and drain, which shows up directly as wall
-// time when threads exceed cores. Under the default IdlePark strategy the
-// escalation is cut short: after parkAfterSleeps sleeps the worker parks
-// and costs nothing until a wake. Under IdleSpin the escalation runs to
-// idleSleepCap and stays there — the cap bounds both the polling rate
-// (1 kHz per idle worker) and the worst-case wakeup latency for a late
-// burst at ~1ms.
+// parkAfterSleeps sleeps that escalate exponentially from idleSleepBase,
+// then the worker parks and costs nothing until a wake. The sleeps matter
+// under oversubscription — spinning idle workers otherwise steal scheduler
+// timeslices from the workers actually producing tasks during frontier
+// ramp-up and drain, which shows up directly as wall time when threads
+// exceed cores.
 const (
 	idleYields    = 4
 	idleSleepBase = 20 * time.Microsecond
-	idleSleepCap  = time.Millisecond
-	// idleShiftCap clamps the escalation exponent: idleSleepBase << 6 is
-	// the first value past idleSleepCap, so larger idle counts add nothing
-	// (and must not feed an unbounded shift).
-	idleShiftCap = 6
-	// parkAfterSleeps is the backoff prefix under IdlePark: after this many
+	// parkAfterSleeps is the backoff prefix's sleep count: after this many
 	// escalating sleeps (20/40/80µs) the worker parks. Long enough that
 	// sub-millisecond gaps in a busy stream never pay a park/unpark round
 	// trip, short enough that a genuinely idle worker reaches zero CPU in
@@ -126,8 +115,10 @@ const (
 	parkAfterSleeps = 3
 )
 
-// idleWait is the shared empty-queue backoff: yield for the first
+// idleWait is one step of the backoff prefix: yield for the first
 // idleYields consecutive empties, then sleep with exponential escalation.
+// It is only called with idle < idleYields+parkAfterSleeps (the worker
+// parks instead after that), so the sleep is bounded by construction.
 // Callers reset their idle count to 0 on any successful pop, so a burst
 // after a long quiet stretch restores the fast path immediately.
 func idleWait(idle int) {
@@ -135,31 +126,8 @@ func idleWait(idle int) {
 		runtime.Gosched()
 		return
 	}
-	exp := idle - idleYields
-	if exp > idleShiftCap {
-		exp = idleShiftCap
-	}
-	d := idleSleepBase << uint(exp)
-	if d > idleSleepCap {
-		d = idleSleepCap
-	}
-	time.Sleep(d)
+	time.Sleep(idleSleepBase << uint(idle-idleYields))
 }
-
-// IdleStrategy selects what a worker does when the queue stays empty.
-type IdleStrategy int8
-
-const (
-	// IdlePark (the default): back off briefly, then park on the engine's
-	// wakeup lot. An idle execution consumes no CPU; pushes wake parked
-	// workers directly.
-	IdlePark IdleStrategy = iota
-	// IdleSpin: the legacy polling loop — exponential sleeps capped at
-	// idleSleepCap, re-polling forever. Kept as a benchmark baseline (the
-	// idlecost experiment measures it against IdlePark) and an escape
-	// hatch.
-	IdleSpin
-)
 
 // Status is the outcome of one TryExecute attempt.
 type Status int8
@@ -193,8 +161,8 @@ type Workload interface {
 }
 
 // ExecOptions are the engine knobs every parallel workload shares: queue
-// selection and relaxation, worker count, batching, seeding, the idle path
-// and the fault-tolerance machinery. Workload-facing options structs
+// selection and relaxation, worker count, batching, seeding and the
+// fault-tolerance machinery. Workload-facing options structs
 // (sssp.ParallelOptions, sched.StreamOptions, txn.ParallelOptions, ...)
 // embed ExecOptions instead of re-declaring these fields, so a caller
 // configures every workload the same way and new engine knobs reach every
@@ -211,17 +179,13 @@ type ExecOptions struct {
 	Backend cq.Backend
 	// BatchSize is the number of pairs a worker moves per queue operation:
 	// pops arrive in batches, and spawned or re-inserted pairs accumulate
-	// in a per-worker buffer flushed through PushBatch. Values <= 1
-	// disable batching (one queue operation per pair). Producers batch the
+	// in a per-worker buffer flushed through PushBatch. Values <= 1 mean a
+	// batch of one (one queue operation per pair). Producers batch the
 	// same way: their pushes buffer until BatchSize pairs accumulate.
 	BatchSize int
 	// Seed drives the queue randomness (one split-off stream per worker and
 	// per producer).
 	Seed uint64
-	// IdleStrategy selects the workers' empty-queue behavior: IdlePark
-	// (zero value, the default) parks idle workers on an event-driven
-	// wakeup lot; IdleSpin keeps the legacy bounded-sleep polling loop.
-	IdleStrategy IdleStrategy
 	// Deadline, when positive, bounds the run's wall time: Deadline after
 	// Start the execution stops itself exactly as if Stop had been called,
 	// and Run/Wait return a partial Result marked Interrupted with
@@ -273,8 +237,8 @@ type Options struct {
 	// the queue stays empty. Deactivated workers retire to parked reserve
 	// (they still finish any task they pop, so correctness never depends on
 	// the controller) and rejoin within one wake. Requires MinWorkers <=
-	// Threads <= MaxWorkers and IdleStrategy == IdlePark. MaxWorkers == 0
-	// (the default) keeps the fixed pool of exactly Threads workers.
+	// Threads <= MaxWorkers. MaxWorkers == 0 (the default) keeps the fixed
+	// pool of exactly Threads workers.
 	MinWorkers int
 	MaxWorkers int
 }
@@ -298,14 +262,15 @@ type Stats struct {
 }
 
 // pushBuf is the batch-amortized push path shared by worker Ctxs and
-// external Producers: with batch > 1, pairs accumulate in the out-buffer
-// and flush through one PushBatch when it fills (so the buffer never grows
-// beyond one batch); otherwise every push is a direct queue operation. All
-// queue traffic flows through a per-worker cq.Handle, so backends with
-// worker identity (epoch-reclamation slots, shard-affine placement — the
-// lock-free MultiQueue) get a pinned session per worker and per producer;
-// handle-less backends see a zero-cost pass-through. It is
-// single-goroutine, like the rng stream and handle it carries.
+// external Producers: pairs accumulate in the out-buffer and flush through
+// one PushBatch when it fills, so the buffer never grows beyond one batch.
+// With batch 1 every push flushes at once — one queue operation per pair,
+// through the same code. All queue traffic flows through a per-worker
+// cq.Handle, so backends with worker identity (epoch-reclamation slots,
+// shard-affine placement — the lock-free MultiQueue) get a pinned session
+// per worker and per producer; handle-less backends see a zero-cost
+// pass-through. It is single-goroutine, like the rng stream and handle it
+// carries.
 //
 // Every path that makes pairs queue-visible wakes parked workers right
 // after (the engine's no-stranded-worker invariant); with nobody parked a
@@ -314,23 +279,19 @@ type pushBuf struct {
 	r     *rng.Xoshiro
 	mq    cq.Handle
 	lot   *park.Lot
-	out   []cq.Pair // deferred pushes (batched mode only)
-	batch int
+	out   []cq.Pair // deferred pushes, flushed at len == batch
+	batch int       // >= 1
 }
 
-// push inserts one pair, buffered or direct per the batch mode.
-func (b *pushBuf) push(value, priority int64) {
-	if b.batch > 1 {
-		b.buffer(cq.Pair{Value: value, Priority: priority})
-	} else {
-		b.mq.Push(b.r, value, priority)
-		b.lot.Wake(1)
-	}
+// newPushBuf returns a push path with an out-buffer of max(batch, 1).
+func newPushBuf(r *rng.Xoshiro, h cq.Handle, lot *park.Lot, batch int) pushBuf {
+	batch = max(batch, 1)
+	return pushBuf{r: r, mq: h, lot: lot, out: make([]cq.Pair, 0, batch), batch: batch}
 }
 
-// buffer appends a pair to the out-buffer, flushing when it reaches the
+// push appends a pair to the out-buffer, flushing when it reaches the
 // batch size.
-func (b *pushBuf) buffer(p cq.Pair) {
+func (b *pushBuf) push(p cq.Pair) {
 	b.out = append(b.out, p)
 	if len(b.out) >= b.batch {
 		b.flush()
@@ -360,12 +321,12 @@ type Ctx struct {
 	pushBuf
 }
 
-// Spawn enqueues a new task. In batched mode the pair lands in the worker's
-// out-buffer, flushed through PushBatch when full (and always before a
-// termination check); unbatched it is pushed immediately.
+// Spawn enqueues a new task. The pair lands in the worker's out-buffer,
+// flushed through PushBatch when full (at once with batch 1, and always
+// before a termination check).
 func (c *Ctx) Spawn(value, priority int64) {
 	c.counters.Produce(c.Worker)
-	c.push(value, priority)
+	c.push(cq.Pair{Value: value, Priority: priority})
 }
 
 // Run executes the workload to quiescence: workers pop from the selected
@@ -395,9 +356,9 @@ func Run(wl Workload, opts Options) (Result, error) {
 // an open system: the caller creates that many Producer handles with
 // NewProducer (plus any later dynamic ones), feeds the frontier through
 // them, closes each, and then Wait returns once every task — seeded,
-// spawned and streamed alike — has been completed. Under the default
-// IdlePark strategy idle workers park and consume no CPU; every push wakes
-// them, a producer closing while every worker is parked broadcasts, and
+// spawned and streamed alike — has been completed. Idle workers park and
+// consume no CPU; every push wakes them, a producer closing while every
+// worker is parked broadcasts, and
 // the first worker to observe quiescence broadcasts before exiting, so
 // termination stays prompt with nobody polling (see the package comment
 // for the full argument).
@@ -420,9 +381,6 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 			return nil, fmt.Errorf("engine: elastic pool needs MinWorkers <= Threads <= MaxWorkers, got %d <= %d <= %d",
 				opts.MinWorkers, opts.Threads, opts.MaxWorkers)
 		}
-		if opts.IdleStrategy != IdlePark {
-			return nil, fmt.Errorf("engine: elastic workers require IdleStrategy == IdlePark (retired workers live in parked reserve)")
-		}
 		pool = opts.MaxWorkers
 	}
 	mq, err := cq.New(opts.Backend, pool, opts.QueueMultiplier)
@@ -432,21 +390,21 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 
 	seedRng := rng.New(opts.Seed)
 	counters := inflight.NewOpen(pool, opts.Producers)
-	seedHandle := cq.HandleFor(mq)
 	wl.Frontier(func(value, priority int64) {
 		// Produce before the push makes the pair visible, exactly as
 		// Ctx.Spawn does on the hot path. No wake needed: workers have not
-		// launched yet, so nobody can be parked.
+		// launched yet, so nobody can be parked. The push is queue-level,
+		// not through a worker handle: the seeder has no worker identity,
+		// so the frontier scatters uniformly instead of piling into one
+		// handle's home shard.
 		counters.Produce(0)
-		seedHandle.Push(seedRng, value, priority)
+		mq.Push(seedRng, value, priority)
 	})
-	seedHandle.Close()
 
 	e := &Execution{
 		mq:         mq,
 		counters:   counters,
 		lot:        park.NewLot(pool),
-		strategy:   opts.IdleStrategy,
 		seedRng:    seedRng,
 		threads:    opts.Threads,
 		pool:       pool,
@@ -466,15 +424,9 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 			defer e.wg.Done()
 			h := cq.HandleFor(mq)
 			defer h.Close()
-			ctx := &Ctx{Worker: w, counters: counters,
-				pushBuf: pushBuf{r: r, mq: h, lot: e.lot, batch: opts.BatchSize}}
+			ctx := &Ctx{Worker: w, counters: counters, pushBuf: newPushBuf(r, h, e.lot, opts.BatchSize)}
 			ws := &e.workers[w]
-			if opts.BatchSize > 1 {
-				ctx.out = make([]cq.Pair, 0, opts.BatchSize)
-				e.workerBatched(wl, ctx, ws)
-			} else {
-				e.worker(wl, ctx, ws)
-			}
+			e.workerBatched(wl, ctx, ws)
 			ws.phase.Store(int32(PhaseExited))
 		}(t, seedRng.Split())
 	}
@@ -544,8 +496,7 @@ func (e *Execution) controller() {
 // idle is the shared empty-queue path, called with the worker's out-buffer
 // already flushed (the loops flush before any idle step, so a parked
 // worker never holds invisible pairs) and the phase published as Idle. It
-// returns the next idle count. Under IdleSpin it is the legacy bounded
-// backoff. Under IdlePark the backoff prefix runs first — unless the
+// returns the next idle count. The backoff prefix runs first — unless the
 // worker has been retired by the elastic controller, which parks at once —
 // and then the worker parks: sample the wakeup token, take the cheap outs
 // (a stop or visible quiescence is about to end the loop anyway; a
@@ -557,7 +508,7 @@ func (e *Execution) controller() {
 // it by a producer is never re-parked away without a pop attempt.
 func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
 	retired := e.elastic && ctx.Worker >= int(e.active.Load())
-	if e.strategy != IdlePark || (!retired && idle < idleYields+parkAfterSleeps) {
+	if !retired && idle < idleYields+parkAfterSleeps {
 		idleWait(idle)
 		return idle + 1
 	}
@@ -574,9 +525,9 @@ func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
 	return 0
 }
 
-// stopDrain is the shared graceful-exit check at the top of both worker
-// loops: once Stop (or the deadline, or a watchdog abort) has fired, the
-// worker flushes its out-buffer — every spawned pair it carries becomes
+// stopDrain is the graceful-exit check at the top of the worker loop:
+// once Stop (or the deadline, or a watchdog abort) has fired, the worker
+// flushes its out-buffer — every spawned pair it carries becomes
 // queue-visible, so the partial run's accounting stays consistent — and
 // exits without popping again. The run is marked Interrupted unless the
 // counters already prove quiescence (a Stop that landed after the work was
@@ -592,55 +543,19 @@ func (e *Execution) stopDrain(ctx *Ctx) bool {
 	return true
 }
 
-// worker is the per-pair (unbatched) loop: one queue operation per pair.
-// This is the concurrent analogue of the paper's Algorithm 2 — the regime
-// its Section 4 transactional model abstracts — with re-insertion playing
-// the role of the sequential model's "task stays in the scheduler".
-func (e *Execution) worker(wl Workload, ctx *Ctx, ws *workerState) {
-	mq, r, counters := ctx.mq, ctx.r, ctx.counters
-	idle := 0
-	for {
-		if e.stopDrain(ctx) {
-			break
-		}
-		value, priority, ok := mq.Pop(r)
-		if !ok {
-			ws.emptyPops.Add(1)
-			if counters.Quiescent() {
-				// Broadcast before exiting: parked peers re-run this same
-				// check on wake, observe the sealed quiescence and exit too.
-				e.lot.WakeAll()
-				break
-			}
-			ws.phase.Store(int32(PhaseIdle))
-			idle = e.idle(ctx, ws, idle)
-			continue
-		}
-		if idle > 0 {
-			ws.phase.Store(int32(PhaseRunning))
-		}
-		idle = 0
-		ws.popped.Add(1)
-		if e.attempt(wl, ctx, ws, value, priority) {
-			// Re-insert the blocked pair and count the wasted pop. Each
-			// pair has exactly one live copy, carried by this worker
-			// between the pop and the re-push, then yield so this worker
-			// does not hot-spin re-popping the same blocked task while its
-			// dependencies are mid-flight.
-			mq.Push(r, value, priority)
-			runtime.Gosched()
-		}
-	}
-}
-
-// workerBatched is the batch-amortized loop: pairs arrive up to BatchSize
-// at a time, and spawned or blocked pairs accumulate in the worker's
+// workerBatched is the engine's one worker loop, the concurrent analogue
+// of the paper's Algorithm 2 — the regime its Section 4 transactional
+// model abstracts — with re-insertion playing the role of the sequential
+// model's "task stays in the scheduler". Pairs arrive up to BatchSize at a
+// time, and spawned or blocked pairs accumulate in the worker's
 // out-buffer, flushed through PushBatch when full — so the queue's
-// coordination cost (lock round-trip or CAS) is paid once per batch. The
-// buffer is always flushed before a termination check, so a parked pair —
-// recorded as produced, never completed — can never deadlock the counter
-// protocol: Quiescent stays false until its worker flushes and the pair is
-// eventually processed.
+// coordination cost (lock round-trip or CAS) is paid once per batch.
+// BatchSize <= 1 is a batch of one: one PopBatch slot and an out-buffer
+// that flushes on every push, i.e. one queue operation per pair. The
+// buffer is always flushed before a termination check, so a buffered pair
+// — recorded as produced, never completed — can never deadlock the
+// counter protocol: Quiescent stays false until its worker flushes and the
+// pair is eventually processed.
 func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
 	mq, r, counters := ctx.mq, ctx.r, ctx.counters
 	in := make([]cq.Pair, ctx.batch)
@@ -674,8 +589,11 @@ func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
 		for _, p := range in[:k] {
 			ws.popped.Add(1)
 			if e.attempt(wl, ctx, ws, p.Value, p.Priority) {
+				// Re-insert the blocked pair and count the wasted pop. Each
+				// pair has exactly one live copy, carried by this worker
+				// between the pop and the flush.
 				blocked++
-				ctx.buffer(p)
+				ctx.push(p)
 			}
 		}
 		if blocked == k {

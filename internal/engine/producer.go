@@ -25,7 +25,6 @@ type Execution struct {
 	mq       cq.BatchQueue
 	counters *inflight.Counter
 	lot      *park.Lot
-	strategy IdleStrategy
 	threads  int
 	batch    int
 	declared int
@@ -109,15 +108,11 @@ func (e *Execution) TryNewProducer() (*Producer, error) {
 		}
 	}
 	e.created++
-	p := &Producer{
+	return &Producer{
 		exec:    e,
 		slot:    ps,
-		pushBuf: pushBuf{r: e.seedRng.Split(), mq: cq.HandleFor(e.mq), lot: e.lot, batch: e.batch},
-	}
-	if e.batch > 1 {
-		p.out = make([]cq.Pair, 0, e.batch)
-	}
-	return p, nil
+		pushBuf: newPushBuf(e.seedRng.Split(), cq.HandleFor(e.mq), e.lot, e.batch),
+	}, nil
 }
 
 // ParkedWorkers returns the number of workers currently parked on the
@@ -203,7 +198,7 @@ func (p *Producer) Push(value, priority int64) {
 		return
 	}
 	p.slot.Produce()
-	p.push(value, priority)
+	p.push(cq.Pair{Value: value, Priority: priority})
 }
 
 // PushBatch streams every pair in one queue operation. Any buffered Push

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"io"
+	"time"
 
 	"relaxsched/internal/cq"
 	"relaxsched/internal/engine"
+	"relaxsched/internal/graph"
 	"relaxsched/internal/sssp"
 	"relaxsched/internal/stats"
 )
@@ -13,6 +15,48 @@ import (
 // the unbatched per-element protocol (the PR-1 baseline) so every recorded
 // trajectory carries its own before/after comparison.
 var BatchSweepSizes = []int{1, 8, 32, 64}
+
+// ParallelSSSPStats are trial-averaged metrics of one parallel-SSSP
+// configuration. BatchSweepRow embeds it, so a new metric added here flows
+// into the recorded trajectory (the embedding keeps the JSON
+// representation flat).
+type ParallelSSSPStats struct {
+	Overhead  float64 // tasks processed relaxed / tasks processed exact
+	OverheadE float64
+	OpsPerSec float64 // pops per second across all workers
+	Speedup   float64 // sequential Dijkstra time / parallel time
+	Millis    float64 // mean parallel wall time
+	HostEnv
+}
+
+// measureParallelSSSP is the measurement protocol behind BatchSweep: it
+// times c.trials() parallel-SSSP runs of one configuration, panics if any
+// run's distances diverge from the exact ones, and returns the averaged
+// metrics. seedFor keeps the sweep's historical seed schedule intact.
+func measureParallelSSSP(c Config, g *graph.Graph, exact sssp.Result, seqTime time.Duration,
+	opts sssp.ParallelOptions, seedFor func(trial int) uint64) ParallelSSSPStats {
+	var ov, ops, sp, ms stats.Sample
+	for trial := 0; trial < c.trials(); trial++ {
+		opts.Seed = seedFor(trial)
+		var pr sssp.ParallelResult
+		elapsed := timeIt(func() { pr = sssp.ParallelWith(g, 0, opts) })
+		if !sssp.Equal(pr.Dist, exact.Dist) {
+			panic("experiments: parallel SSSP produced wrong distances")
+		}
+		ov.Add(float64(pr.Processed) / float64(exact.Reached))
+		ops.Add(float64(pr.Popped) / elapsed.Seconds())
+		sp.Add(seqTime.Seconds() / elapsed.Seconds())
+		ms.Add(elapsed.Seconds() * 1e3) // fractional ms: runs are sub-ms at small scales
+	}
+	return ParallelSSSPStats{
+		Overhead:  ov.Mean(),
+		OverheadE: ov.StdErr(),
+		OpsPerSec: ops.Mean(),
+		Speedup:   sp.Mean(),
+		Millis:    ms.Mean(),
+		HostEnv:   Host(),
+	}
+}
 
 // BatchSweepRow is one point of the batch-amortization sweep: parallel
 // SSSP through one backend at one worker batch size. OpsPerSec counts

@@ -42,7 +42,7 @@ type Config struct {
 	// MaxThreads caps the thread sweep (0 = runtime.NumCPU()).
 	MaxThreads int
 	// Backend selects the concurrent queue the parallel experiments run on
-	// (zero value = the default MultiQueue). The Backends experiment
+	// (zero value = the default MultiQueue). The BatchSweep experiment
 	// ignores this and sweeps every backend.
 	Backend cq.Backend
 }

@@ -12,20 +12,19 @@ import (
 
 // IdleCostRow is one point of the idle-cost experiment: a streaming
 // execution held idle — workers live, one producer open, no arrivals — for
-// a fixed window under one idle strategy, then hit with a job burst. The
-// row reports what idleness costs (process CPU consumed across the quiet
-// window) and what parking costs on wake-up (the burst's sojourn-latency
-// quantiles and total drain time). Strategy is an identity column:
-// trajectories gate park rows against park rows and spin rows against spin
-// rows, never across.
+// a fixed window, then hit with a job burst. The row reports what idleness
+// costs (process CPU consumed across the quiet window) and what parking
+// costs on wake-up (the burst's sojourn-latency quantiles and total drain
+// time). Strategy is an identity column that is always "park", the
+// engine's only idle path; it stays so recorded trajectories keep matching
+// rows across versions.
 //
 // The design intent the numbers back: a parked service should sit at ≈0%
-// CPU — Park is a channel receive, not a poll loop — while the spin
-// strategy keeps paying wakeup-and-check cycles forever; and the price of
+// CPU — Park is a channel receive, not a poll loop — and the price of
 // parking must show up only as a bounded wake-up cost on the first burst
 // jobs, not as a throughput regression.
 type IdleCostRow struct {
-	Strategy  string // "park" or "spin"
+	Strategy  string // always "park"
 	Threads   int
 	N         int     // burst size (jobs pushed after the idle window)
 	WindowMs  float64 // idle observation window
@@ -39,28 +38,17 @@ type IdleCostRow struct {
 	HostEnv
 }
 
-// IdleCostResult holds the per-strategy idle-cost rows.
+// IdleCostResult holds the idle-cost row.
 type IdleCostResult struct {
 	Rows []IdleCostRow
 }
 
-// idleStrategies names the sweep. Park first: it is the default the README
-// advertises, and the spin row below it is the baseline it is judged against.
-var idleStrategies = []struct {
-	name string
-	s    engine.IdleStrategy
-}{
-	{"park", engine.IdlePark},
-	{"spin", engine.IdleSpin},
-}
-
 // IdleCost measures the idle CPU cost and wake-up latency of the engine's
-// idle strategies: start a streaming execution, let the pool go idle with a
-// producer still open, read the process CPU clock across a quiet window,
+// parking idle path: start a streaming execution, let the pool go idle with
+// a producer still open, read the process CPU clock across a quiet window,
 // then push a burst and time the drain. Runs on the default backend (or
 // Config.Backend when set).
 func IdleCost(c Config) (IdleCostResult, error) {
-	var res IdleCostResult
 	threads := c.maxThreads()
 	if threads > 4 {
 		threads = 4
@@ -73,65 +61,61 @@ func IdleCost(c Config) (IdleCostResult, error) {
 	if c.scale() > 1 {
 		window, settle = 30*time.Millisecond, 5*time.Millisecond
 	}
-	for _, strat := range idleStrategies {
-		var cpuMs, p50, p99, drain stats.Sample
-		cpuOK := true
-		for trial := 0; trial < c.trials(); trial++ {
-			s, err := sched.NewTopKStream(sched.StreamOptions{
-				ExecOptions: engine.ExecOptions{
-					Threads:         threads,
-					QueueMultiplier: 2,
-					Backend:         c.Backend,
-					Seed:            c.Seed + uint64(trial*13),
-					IdleStrategy:    strat.s,
-				},
-				Producers:   1,
-				LatencyJobs: burst,
-			})
-			if err != nil {
-				return res, fmt.Errorf("idlecost: %s: %w", strat.name, err)
-			}
-			p := s.NewProducer()
-			// Settle: let the workers drain the (empty) queue into their
-			// steady idle state — parked on the lot, or deep in capped
-			// backoff — before the measurement window opens.
-			time.Sleep(settle)
-			c0, ok0 := processCPUTime()
-			time.Sleep(window)
-			c1, ok1 := processCPUTime()
-			if ok0 && ok1 {
-				cpuMs.Add(float64(c1-c0) / 1e6)
-			} else {
-				cpuOK = false
-			}
-			start := time.Now()
-			for i := 0; i < burst; i++ {
-				p.Push(int64(i), int64(i))
-			}
-			p.Close()
-			sr := s.Wait()
-			drain.Add(float64(time.Since(start)) / 1e6)
-			if sr.Jobs != int64(burst) {
-				return res, fmt.Errorf("idlecost: %s: burst served %d of %d jobs", strat.name, sr.Jobs, burst)
-			}
-			p50.Add(float64(sr.LatencyP50) / 1e3)
-			p99.Add(float64(sr.LatencyP99) / 1e3)
+	var cpuMs, p50, p99, drain stats.Sample
+	cpuOK := true
+	for trial := 0; trial < c.trials(); trial++ {
+		s, err := sched.NewTopKStream(sched.StreamOptions{
+			ExecOptions: engine.ExecOptions{
+				Threads:         threads,
+				QueueMultiplier: 2,
+				Backend:         c.Backend,
+				Seed:            c.Seed + uint64(trial*13),
+			},
+			Producers:   1,
+			LatencyJobs: burst,
+		})
+		if err != nil {
+			return IdleCostResult{}, fmt.Errorf("idlecost: %w", err)
 		}
-		row := IdleCostRow{
-			Strategy: strat.name, Threads: threads, N: burst,
-			WindowMs:  float64(window) / 1e6,
-			CPUMillis: -1, CPUPct: -1,
-			WakeP50Us: p50.Mean(), WakeP99Us: p99.Mean(),
-			DrainMs: drain.Mean(),
-			HostEnv: Host(),
+		p := s.NewProducer()
+		// Settle: let the workers drain the (empty) queue into their
+		// steady idle state — parked on the lot — before the measurement
+		// window opens.
+		time.Sleep(settle)
+		c0, ok0 := processCPUTime()
+		time.Sleep(window)
+		c1, ok1 := processCPUTime()
+		if ok0 && ok1 {
+			cpuMs.Add(float64(c1-c0) / 1e6)
+		} else {
+			cpuOK = false
 		}
-		if cpuOK {
-			row.CPUMillis = cpuMs.Mean()
-			row.CPUPct = cpuMs.Mean() / row.WindowMs * 100
+		start := time.Now()
+		for i := 0; i < burst; i++ {
+			p.Push(int64(i), int64(i))
 		}
-		res.Rows = append(res.Rows, row)
+		p.Close()
+		sr := s.Wait()
+		drain.Add(float64(time.Since(start)) / 1e6)
+		if sr.Jobs != int64(burst) {
+			return IdleCostResult{}, fmt.Errorf("idlecost: burst served %d of %d jobs", sr.Jobs, burst)
+		}
+		p50.Add(float64(sr.LatencyP50) / 1e3)
+		p99.Add(float64(sr.LatencyP99) / 1e3)
 	}
-	return res, nil
+	row := IdleCostRow{
+		Strategy: "park", Threads: threads, N: burst,
+		WindowMs:  float64(window) / 1e6,
+		CPUMillis: -1, CPUPct: -1,
+		WakeP50Us: p50.Mean(), WakeP99Us: p99.Mean(),
+		DrainMs: drain.Mean(),
+		HostEnv: Host(),
+	}
+	if cpuOK {
+		row.CPUMillis = cpuMs.Mean()
+		row.CPUPct = cpuMs.Mean() / row.WindowMs * 100
+	}
+	return IdleCostResult{Rows: []IdleCostRow{row}}, nil
 }
 
 // Render writes the idle-cost table.

@@ -6,15 +6,12 @@
 // k = O(q log q) with high probability, which is the regime the paper's
 // experiments run in.
 //
-// Two variants are provided:
-//
-//   - MultiQueue: the sequential-model variant implementing sched.Scheduler
-//     (+ DecreaseKey via consistent hashing of task ids to queues), used by
-//     the incremental-algorithm framework and the lower-bound experiment of
-//     Section 5;
-//   - Concurrent: a lock-per-queue concurrent variant storing (value,
-//     priority) pairs with duplicates, used by the parallel SSSP of
-//     Section 7.
+// This package is the sequential-model variant: MultiQueue implements
+// sched.Scheduler (+ DecreaseKey via consistent hashing of task ids to
+// queues) and serves the incremental-algorithm framework and the
+// lower-bound experiment of Section 5. The concurrent MultiQueues the
+// parallel paths run on — lock-per-queue and lock-free, storing (value,
+// priority) pairs with duplicates — are backends of internal/cq.
 package multiqueue
 
 import (

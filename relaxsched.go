@@ -49,16 +49,6 @@ func NewRandomKScheduler(n, k int, seed uint64) Scheduler { return sched.NewRand
 // it is (2k-1)-relaxed in the paper's model.
 func NewBatchScheduler(n, k int) Scheduler { return sched.NewBatch(n, k) }
 
-// NewMultiQueue returns a sequential-model MultiQueue with q internal
-// queues and c-choice probing (classic configuration: c = 2). With hashed
-// insertion (hashed = true) it supports DecreaseKey and can drive
-// RelaxedSSSP.
-//
-// Deprecated: Use NewMultiQueueWith, whose options struct names each knob.
-func NewMultiQueue(n, q, c int, hashed bool, seed uint64) Scheduler {
-	return NewMultiQueueWith(MultiQueueOptions{N: n, Queues: q, Choices: c, Hashed: hashed, Seed: seed})
-}
-
 // MultiQueueOptions configure NewMultiQueueWith.
 type MultiQueueOptions struct {
 	// N is the task-id capacity: the scheduler holds ids in [0, N).
@@ -82,14 +72,6 @@ func NewMultiQueueWith(opts MultiQueueOptions) Scheduler {
 		policy = multiqueue.HashedQueue
 	}
 	return multiqueue.New(opts.N, opts.Queues, opts.Choices, policy, opts.Seed)
-}
-
-// NewSprayList returns a sequential-model SprayList tuned for p simulated
-// threads.
-//
-// Deprecated: Use NewSprayListWith, whose options struct names each knob.
-func NewSprayList(n, p int, seed uint64) Scheduler {
-	return NewSprayListWith(SprayListOptions{N: n, Threads: p, Seed: seed})
 }
 
 // SprayListOptions configure NewSprayListWith.
@@ -182,8 +164,8 @@ func RunIncremental(dag *DAG, s Scheduler, opts RunOptions) (RunResult, error) {
 
 // ExecOptions are the engine knobs shared by every parallel execution
 // path: queue Backend and QueueMultiplier, Threads, BatchSize, Seed,
-// IdleStrategy, Deadline, MaxBlockedRetries, StallTimeout/OnStall and the
-// fault Injector. Every parallel options struct (ParallelSSSPOptions,
+// Deadline, MaxBlockedRetries, StallTimeout/OnStall and the fault
+// Injector. Every parallel options struct (ParallelSSSPOptions,
 // ParallelRunOptions, ParallelBnBOptions, ParallelMISOptions,
 // ParallelDelaunayOptions, TopKStreamOptions, ParallelTxnOptions) embeds
 // ExecOptions instead of re-declaring these fields, so the engine plumbing
@@ -199,21 +181,9 @@ func RunIncremental(dag *DAG, s Scheduler, opts RunOptions) (RunResult, error) {
 // promotes the fields, so opts.Threads still works.
 type ExecOptions = engine.ExecOptions
 
-// IdleStrategy selects the workers' empty-queue behavior (see ExecOptions):
-// IdlePark (the default) parks idle workers on an event-driven wakeup lot,
-// IdleSpin keeps the legacy bounded-sleep polling loop.
-type IdleStrategy = engine.IdleStrategy
-
-const (
-	// IdlePark parks idle workers; an idle execution consumes no CPU.
-	IdlePark = engine.IdlePark
-	// IdleSpin polls with bounded sleeps (benchmark baseline).
-	IdleSpin = engine.IdleSpin
-)
-
 // QueueBackend names a concurrent relaxed-queue implementation used by the
-// parallel execution paths (RunIncrementalParallel, ParallelSSSP). The zero
-// value selects the default backend.
+// parallel execution paths (RunIncrementalParallel, ParallelSSSPWith). The
+// zero value selects the default backend.
 type QueueBackend = cq.Backend
 
 const (
@@ -261,14 +231,6 @@ type GraphBuilder = graph.Builder
 // NewGraphBuilder returns a builder for a graph with n nodes.
 func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 
-// RandomGraph generates an undirected uniform G(n, m) graph with weights
-// in [1, maxW].
-//
-// Deprecated: Use RandomGraphWith, whose options struct names each knob.
-func RandomGraph(n, m int, maxW int64, seed uint64) *Graph {
-	return RandomGraphWith(RandomGraphOptions{N: n, M: m, MaxWeight: maxW, Seed: seed})
-}
-
 // RandomGraphOptions configure RandomGraphWith: N nodes, M undirected
 // edges, weights uniform in [1, MaxWeight], generation driven by Seed.
 type RandomGraphOptions struct {
@@ -281,18 +243,6 @@ type RandomGraphOptions struct {
 // RandomGraphWith generates an undirected uniform G(n, m) graph.
 func RandomGraphWith(opts RandomGraphOptions) *Graph {
 	return graph.Random(opts.N, opts.M, opts.MaxWeight, opts.Seed)
-}
-
-// RoadGraph generates a road-network-like grid graph (high diameter,
-// distance-like weights in [1, maxW], dropPerMille/1000 of the vertical
-// edges removed).
-//
-// Deprecated: Use RoadGraphWith, whose options struct names each knob.
-func RoadGraph(width, height int, maxW int64, dropPerMille int, seed uint64) *Graph {
-	return RoadGraphWith(RoadGraphOptions{
-		Width: width, Height: height, MaxWeight: maxW,
-		DropPerMille: dropPerMille, Seed: seed,
-	})
 }
 
 // RoadGraphOptions configure RoadGraphWith: a Width x Height grid with
@@ -309,14 +259,6 @@ type RoadGraphOptions struct {
 // RoadGraphWith generates a road-network-like grid graph.
 func RoadGraphWith(opts RoadGraphOptions) *Graph {
 	return graph.Road(opts.Width, opts.Height, opts.MaxWeight, opts.DropPerMille, opts.Seed)
-}
-
-// SocialGraph generates a social-network-like preferential-attachment
-// graph with deg edges per arriving node and weights in [1, maxW].
-//
-// Deprecated: Use SocialGraphWith, whose options struct names each knob.
-func SocialGraph(n, deg int, maxW int64, seed uint64) *Graph {
-	return SocialGraphWith(SocialGraphOptions{N: n, Degree: deg, MaxWeight: maxW, Seed: seed})
 }
 
 // SocialGraphOptions configure SocialGraphWith: N nodes arriving with
@@ -343,7 +285,7 @@ func WriteDIMACS(w io.Writer, g *Graph) error { return graph.WriteDIMACS(w, g) }
 // SSSPResult is the output of the sequential SSSP variants.
 type SSSPResult = sssp.Result
 
-// ParallelSSSPResult is the output of ParallelSSSP.
+// ParallelSSSPResult is the output of ParallelSSSPWith.
 type ParallelSSSPResult = sssp.ParallelResult
 
 // InfDistance is the distance reported for unreachable vertices.
@@ -368,8 +310,8 @@ func DijkstraTree(g *Graph, src int) (SSSPResult, []int32) { return sssp.Dijkstr
 func ShortestPathTo(parents []int32, src, v int) []int { return sssp.PathTo(parents, src, v) }
 
 // RelaxedSSSP runs the paper's Algorithm 3: Dijkstra through a relaxed
-// scheduler supporting DecreaseKey (e.g. NewMultiQueue with hashed = true,
-// NewSprayList, or NewKRelaxedScheduler). The pop count in the result is
+// scheduler supporting DecreaseKey (e.g. NewMultiQueueWith with Hashed,
+// NewSprayListWith, or NewKRelaxedScheduler). The pop count in the result is
 // the quantity Theorem 6.1 bounds.
 func RelaxedSSSP(g *Graph, src int, q Scheduler) (SSSPResult, error) {
 	rq, ok := q.(sssp.RelaxedScheduler)
@@ -387,21 +329,6 @@ func (noDecreaseKeyError) Error() string {
 
 var errNoDecreaseKey = noDecreaseKeyError{}
 
-// ParallelSSSP runs SSSP with the given number of goroutines over a
-// concurrent MultiQueue with queueMultiplier queues per thread (the
-// paper's Section 7 implementation).
-//
-// Deprecated: Use ParallelSSSPWith, whose options struct names each knob
-// and exposes the full ExecOptions surface (backend selection, batching,
-// deadlines).
-func ParallelSSSP(g *Graph, src, threads, queueMultiplier int, seed uint64) ParallelSSSPResult {
-	return ParallelSSSPWith(g, src, ParallelSSSPOptions{ExecOptions: ExecOptions{
-		Threads:         threads,
-		QueueMultiplier: queueMultiplier,
-		Seed:            seed,
-	}})
-}
-
 // ParallelSSSPOptions configure ParallelSSSPWith; the Backend field selects
 // the concurrent queue implementation and the BatchSize field the number
 // of (vertex, dist) pairs a worker moves per queue operation (<= 1 runs
@@ -409,9 +336,10 @@ func ParallelSSSP(g *Graph, src, threads, queueMultiplier int, seed uint64) Para
 type ParallelSSSPOptions = sssp.ParallelOptions
 
 // ParallelSSSPWith runs SSSP with worker goroutines over the selected
-// concurrent relaxed-queue backend. Like ParallelSSSP it panics on invalid
-// options (Threads or QueueMultiplier < 1, unknown Backend); validate
-// runtime input with QueueBackend.Valid first.
+// concurrent relaxed-queue backend (the paper's Section 7 implementation
+// with the default MultiQueue). It panics on invalid options (Threads or
+// QueueMultiplier < 1, unknown Backend); validate runtime input with
+// QueueBackend.Valid first.
 func ParallelSSSPWith(g *Graph, src int, opts ParallelSSSPOptions) ParallelSSSPResult {
 	return sssp.ParallelWith(g, src, opts)
 }

@@ -1,20 +1,19 @@
 #!/bin/sh
-# Record this PR's benchmark trajectory: the backends head-to-head, the
-# batch-amortization sweep, the parallel-incremental extra-steps rows, the
-# engine workloads (parallel branch-and-bound, parallel greedy
-# MIS/coloring, parallel Delaunay with on-line dependency discovery, the
-# streaming top-k job scheduler — its rows now carrying p50/p99/p999
-# sojourn-latency columns), the shard-affinity ablation of the lock-free
-# backend, the fault-injection sweep (seeded stalls, forced re-insertions,
-# poisoned tasks vs. the fault-free baseline), and — new in PR 8 — the
-# idle-cost rows (parking vs. spinning idle strategies: idle-window CPU
-# next to burst wake-up latency), and — new in PR 10 — the OCC
-# transactional workload (backends x Zipf skews x threads, every run
-# certified serializable by replaying its commit log before the row is
-# recorded), as a JSON-lines file at the repository root. Rows record
-# the host's NumCPU/GOMAXPROCS so cross-machine comparisons warn instead
-# of misleading. Override the workload with
-# SCALE / TRIALS / MAXTHREADS, e.g.
+# Record this PR's benchmark trajectory: the batch-amortization sweep
+# (whose batch-1 column is the backends head-to-head), the
+# parallel-incremental extra-steps rows, the engine workloads (parallel
+# branch-and-bound, parallel greedy MIS/coloring, parallel Delaunay with
+# on-line dependency discovery, the streaming top-k job scheduler — its
+# rows carrying p50/p99/p999 sojourn-latency columns), the shard-affinity
+# ablation of the lock-free backend, the fault-injection sweep (seeded
+# stalls, forced re-insertions, poisoned tasks vs. the fault-free
+# baseline), the idle-cost rows (the parking idle path: idle-window CPU
+# next to burst wake-up latency), and the OCC transactional workload
+# (backends x Zipf skews x threads, every run certified serializable by
+# replaying its commit log before the row is recorded), as a JSON-lines
+# file at the repository root. Rows record the host's NumCPU/GOMAXPROCS
+# so cross-machine comparisons warn instead of misleading. Override the
+# workload with SCALE / TRIALS / MAXTHREADS, e.g.
 #
 #   SCALE=16 MAXTHREADS=8 scripts/bench.sh
 #
@@ -45,7 +44,12 @@ MAXTHREADS="${MAXTHREADS:-4}"
 OUT="${OUT:-BENCH_PR10.json}"
 BUDGET="${BUDGET:-600}"
 
-EXPERIMENTS="backends batchsweep parinc parbnb parmis pardelaunay stream affinity chaos idlecost txn"
+EXPERIMENTS="batchsweep parinc parbnb parmis pardelaunay stream affinity chaos idlecost txn"
+
+# The benchmark module's verification gates and metric-list check first:
+# benchmark/ is its own module, so nothing else here builds or tests it.
+go -C benchmark vet ./...
+go -C benchmark test ./...
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
