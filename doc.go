@@ -17,18 +17,19 @@
 //     heap-backed scheduler, an adversarial k-relaxed scheduler, a uniform
 //     top-k scheduler, a deterministic k-LSM-style batch scheduler, the
 //     MultiQueue, and a SprayList;
-//   - a pluggable concurrent relaxed-queue layer (internal/cq) with four
-//     backends — the lock-per-queue MultiQueue with 2-choice pops, a lazy
-//     lock-based skip list with spray-height pops, the strict-order exact
-//     control (one heap behind one mutex), and a lock-free MultiQueue of
-//     mutable pairing-heap shards (a pop privatizes a whole
-//     shard by swapping its root to nil, harvests minima in place, and
-//     republishes the remainder; detached nodes are retired through
-//     epoch-based reclamation, internal/epoch, and reused from per-worker
-//     free lists so steady-state operation allocates nothing) — selectable
-//     on every parallel path via a QueueBackend, plus a batch layer
-//     (PushBatch/PopBatch) that amortizes one lock acquisition or CAS over
-//     a whole batch of pairs, a handle layer (Handle/HandleQueue) through
+//   - a pluggable concurrent relaxed-queue layer (internal/cq) with three
+//     backends — the lock-per-queue MultiQueue with 2-choice pops, the
+//     strict-order exact control (one heap behind one mutex), and a
+//     lock-free MultiQueue of mutable pairing-heap shards (a pop
+//     privatizes a whole shard by swapping its root to nil, harvests
+//     minima in place, and republishes the remainder; detached nodes are
+//     retired through epoch-based reclamation, internal/epoch, and reused
+//     from per-worker free lists so steady-state operation allocates
+//     nothing) — selectable on every parallel path via a QueueBackend and
+//     all behind one queue interface whose batch operations
+//     (PushBatch/PopBatch) every backend implements natively, amortizing
+//     one lock acquisition or CAS over a whole batch of pairs, plus a
+//     handle layer (Handle/HandleQueue) through
 //     which workers pin per-worker state — on the lock-free backend a
 //     handle carries an epoch slot and a home shard, giving shard-affine
 //     placement with two-choice stealing (ablated against uniform

@@ -6,14 +6,11 @@
 // the algorithms (sssp.Parallel) and the experiment harness can compare
 // backends head-to-head instead of hard-wiring one.
 //
-// Four backends ship today:
+// Three backends ship today:
 //
 //   - MultiQueueBackend: the lock-per-queue MultiQueue — threads x multiplier
 //     4-ary heaps, uniform 2-choice pops over cached atomic tops, TryLock with
 //     bounded rerandomization on contention.
-//   - SprayListBackend: a lazy lock-based skip list (Herlihy-Shavit style
-//     fine-grained locking, logical deletion marks) whose Pop performs a
-//     SprayList-style randomized spray walk instead of removing the head.
 //   - LockFreeBackend: a lock-free MultiQueue — each queue is a mutable
 //     pairing heap behind one atomic root pointer, taken whole by Swap and
 //     republished by CAS (ownership transfer), with epoch-based node
@@ -25,63 +22,20 @@
 //     harness.
 //
 // All but the exact baseline are relaxed: Pop returns a small-rank
-// element, not necessarily the minimum. New backends must pass the shared conformance and race-stress
-// suite in cqtest.
-//
-// On top of the singleton contract sits the batch layer (BatchQueue):
-// PushBatch/PopBatch move whole batches per coordination round. MultiQueue
-// and LockFreeMQ amortize natively; New wraps the rest in a generic
-// fallback so every queue it builds supports the batch API.
+// element, not necessarily the minimum. Every backend implements the one
+// queue interface, BatchQueue: singleton Push/Pop plus PushBatch/PopBatch,
+// which move a whole batch per coordination round. New backends must pass
+// the shared conformance and race-stress suite in cqtest.
 package cq
 
 import (
 	"fmt"
 	"math"
-
-	"relaxsched/internal/rng"
 )
 
 // ReservedPriority is the one priority value backends may reserve for
-// internal sentinels (empty markers, tail nodes). Push panics on it.
+// internal sentinels (the empty marker of a cached top). Push panics on it.
 const ReservedPriority = math.MaxInt64
-
-// Queue is a concurrent relaxed priority queue over (value, priority)
-// pairs. Lower priorities are better. Duplicate values are permitted:
-// algorithms without DecreaseKey (e.g. parallel SSSP) insert a fresh pair
-// per update and filter stale ones on pop.
-//
-// All methods except Len are safe for concurrent use. The *rng.Xoshiro
-// passed to Push and Pop must be goroutine-local (use rng.Split per
-// worker); backends draw their randomized choices from it so runs stay
-// deterministic per worker stream.
-//
-// Pop's ok=false means the structure *appeared* empty. With concurrent
-// pushers this is inherently racy — an element mid-push is invisible — so
-// callers must layer their own termination protocol (typically an in-flight
-// counter: see core.ParallelRun and sssp.Parallel) rather than trusting a
-// single !ok.
-//
-// Conformance contract (enforced by cqtest, which every backend must pass):
-//
-//   - no element is lost or duplicated under concurrent push/pop;
-//   - Push of ReservedPriority panics;
-//   - a backend built with threads = 1, queueMultiplier = 1 degenerates to
-//     an exact queue under sequential use (pops in priority order);
-//   - under the in-flight-counter termination protocol, racing pushers and
-//     poppers drain every element.
-type Queue interface {
-	// Push inserts a (value, priority) pair.
-	Push(r *rng.Xoshiro, value, priority int64)
-	// Pop removes and returns a small-rank pair; ok=false if the queue
-	// appeared empty.
-	Pop(r *rng.Xoshiro) (value, priority int64, ok bool)
-	// NumQueues reports the number of independent internal structures
-	// (shards/queues); 1 for single-structure backends. Diagnostics only.
-	NumQueues() int
-	// Len reports the number of stored pairs. It may lock internal state
-	// and is only meaningful at quiescence; tests and diagnostics only.
-	Len() int
-}
 
 // Backend names a concurrent queue implementation.
 type Backend string
@@ -90,9 +44,6 @@ const (
 	// MultiQueueBackend is the lock-per-queue MultiQueue with 2-choice pops
 	// (the paper's Section 7 structure). This is the default.
 	MultiQueueBackend Backend = "multiqueue"
-	// SprayListBackend is the lazy lock-based skip list with spray-height
-	// pops (Alistarh, Kopinsky, Li & Shavit, PPoPP 2015).
-	SprayListBackend Backend = "spraylist"
 	// LockFreeBackend is the lock-free MultiQueue: mutable pairing heaps
 	// taken and republished through one atomic root per queue, epoch-based
 	// node reclamation (internal/epoch) and shard-affine worker handles.
@@ -112,12 +63,11 @@ const DefaultBackend = MultiQueueBackend
 // adding one entry here (and making it pass cqtest).
 var registry = []struct {
 	name  Backend
-	build func(threads, queueMultiplier int) Queue
+	build func(threads, queueMultiplier int) BatchQueue
 }{
-	{MultiQueueBackend, func(t, m int) Queue { return NewMultiQueue(t * m) }},
-	{SprayListBackend, func(t, m int) Queue { return NewSprayList(t * m) }},
-	{LockFreeBackend, func(t, m int) Queue { return NewLockFreeMQ(t * m) }},
-	{ExactBackend, func(t, m int) Queue { return NewExact() }},
+	{MultiQueueBackend, func(t, m int) BatchQueue { return NewMultiQueue(t * m) }},
+	{LockFreeBackend, func(t, m int) BatchQueue { return NewLockFreeMQ(t * m) }},
+	{ExactBackend, func(t, m int) BatchQueue { return NewExact() }},
 }
 
 // Backends returns every registered backend, default first.
@@ -146,13 +96,10 @@ func (b Backend) Valid() bool {
 // New builds a queue of the given backend sized for a run with the given
 // worker count and relaxation multiplier (>= 1 each). For the MultiQueues
 // the product threads*queueMultiplier is the number of internal queues (the
-// classic configuration uses multiplier 2); for the SprayList it is the
-// simulated contention width p that tunes the spray walk. An empty backend
-// selects DefaultBackend; an unknown one is an error.
-//
-// The returned queue always supports the batch API — the return type says
-// so: backends without native batch operations are wrapped in the generic
-// singleton-looping fallback.
+// classic configuration uses multiplier 2); the exact baseline is one
+// structure whatever the arguments. An empty backend selects
+// DefaultBackend; an unknown one is an error. The returned queue is the
+// backend's concrete type (*MultiQueue, *LockFreeMQ, *Exact), unwrapped.
 func New(b Backend, threads, queueMultiplier int) (BatchQueue, error) {
 	if threads < 1 {
 		return nil, fmt.Errorf("cq: need threads >= 1, got %d", threads)
@@ -165,7 +112,7 @@ func New(b Backend, threads, queueMultiplier int) (BatchQueue, error) {
 	}
 	for _, e := range registry {
 		if e.name == b {
-			return AsBatch(e.build(threads, queueMultiplier)), nil
+			return e.build(threads, queueMultiplier), nil
 		}
 	}
 	return nil, fmt.Errorf("cq: unknown backend %q (have %v)", b, Backends())

@@ -24,70 +24,39 @@ func TestNewDefaultsToMultiQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mq, ok := q.(*cq.MultiQueue)
-	if !ok {
+	if _, ok := q.(*cq.MultiQueue); !ok {
 		t.Fatalf("New(\"\") built %T, want *cq.MultiQueue", q)
 	}
-	if mq.NumQueues() != 6 {
-		t.Fatalf("NumQueues = %d, want threads*multiplier = 6", mq.NumQueues())
-	}
 }
 
-func TestNewSprayListSingleStructure(t *testing.T) {
-	q, err := cq.New(cq.SprayListBackend, 4, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestNewReturnsConcreteBackend checks that New hands back each backend's
+// own type, unwrapped, sized threads*multiplier (one structure for exact).
+func TestNewReturnsConcreteBackend(t *testing.T) {
+	want := map[cq.Backend]struct {
+		typ    string
+		queues int
+	}{
+		cq.MultiQueueBackend: {"*cq.MultiQueue", 6},
+		cq.LockFreeBackend:   {"*cq.LockFreeMQ", 6},
+		cq.ExactBackend:      {"*cq.Exact", 1},
 	}
-	// The SprayList has no native batch operations, so New wraps it in the
-	// generic fallback; the wrapper must still present the single shared
-	// structure underneath. (Go through cq.Queue: *cq.SprayList cannot
-	// satisfy New's BatchQueue return type directly.)
-	if _, ok := cq.Queue(q).(*cq.SprayList); ok {
-		t.Fatalf("spraylist was not wrapped in the batch fallback: %T", q)
-	}
-	if q.NumQueues() != 1 {
-		t.Fatalf("NumQueues = %d, want 1", q.NumQueues())
-	}
-}
-
-func TestNewAlwaysBatchCapable(t *testing.T) {
-	// cq.New's BatchQueue return type enforces batch support at compile
-	// time; what remains to test is the wrap policy: native batchers come
-	// back unwrapped, and AsBatch never re-wraps an existing BatchQueue.
 	for _, b := range cq.Backends() {
-		q, err := cq.New(b, 2, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cq.AsBatch(q) != q {
-			t.Fatalf("%s: AsBatch re-wrapped a BatchQueue (%T)", b, q)
-		}
-	}
-	// MultiQueue and LockFreeMQ batch natively: New must not wrap them.
-	if q, _ := cq.New(cq.MultiQueueBackend, 2, 2); func() bool {
-		_, ok := q.(*cq.MultiQueue)
-		return !ok
-	}() {
-		t.Fatalf("multiqueue was wrapped: %T", q)
-	}
-	if q, _ := cq.New(cq.LockFreeBackend, 2, 2); func() bool {
-		_, ok := q.(*cq.LockFreeMQ)
-		return !ok
-	}() {
-		t.Fatalf("lockfree was wrapped: %T", q)
-	}
-}
-
-func TestNewLockFreeSharding(t *testing.T) {
-	q, err := cq.New(cq.LockFreeBackend, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := q.(*cq.LockFreeMQ); !ok {
-		t.Fatalf("built %T, want *cq.LockFreeMQ", q)
-	}
-	if q.NumQueues() != 6 {
-		t.Fatalf("NumQueues = %d, want threads*multiplier = 6", q.NumQueues())
+		t.Run(string(b), func(t *testing.T) {
+			w, ok := want[b]
+			if !ok {
+				t.Fatalf("no expectation for registered backend %q", b)
+			}
+			q, err := cq.New(b, 3, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%T", q); got != w.typ {
+				t.Fatalf("New(%q) built %s, want %s", b, got, w.typ)
+			}
+			if q.NumQueues() != w.queues {
+				t.Fatalf("NumQueues = %d, want %d", q.NumQueues(), w.queues)
+			}
+		})
 	}
 }
 
@@ -98,7 +67,7 @@ func TestNewRejectsBadArguments(t *testing.T) {
 	if _, err := cq.New(cq.MultiQueueBackend, 0, 2); err == nil {
 		t.Fatal("threads = 0 accepted")
 	}
-	if _, err := cq.New(cq.SprayListBackend, 2, 0); err == nil {
+	if _, err := cq.New(cq.ExactBackend, 2, 0); err == nil {
 		t.Fatal("queueMultiplier = 0 accepted")
 	}
 }
@@ -153,7 +122,6 @@ func BenchmarkPushPopBatch(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				bq := cq.AsBatch(q)
 				var worker atomic.Uint64 // distinct stream per goroutine
 				b.RunParallel(func(pb *testing.PB) {
 					r := rng.New(worker.Add(1) * 0xd1342543de82ef95)
@@ -163,9 +131,9 @@ func BenchmarkPushPopBatch(b *testing.B) {
 					for pb.Next() {
 						out = append(out, cq.Pair{Value: i, Priority: i % 1024})
 						if len(out) == batch {
-							bq.PushBatch(r, out)
+							q.PushBatch(r, out)
 							out = out[:0]
-							bq.PopBatch(r, dst)
+							q.PopBatch(r, dst)
 						}
 						i++
 					}

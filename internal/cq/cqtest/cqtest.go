@@ -2,8 +2,8 @@
 // backends. Every backend must pass it (run the suite with -race in CI):
 // future backends are drop-in exactly when cqtest.Run accepts them.
 //
-// The suite checks the contract documented on cq.Queue: no element lost or
-// duplicated under concurrent push/pop, exactness in the unrelaxed
+// The suite checks the contract documented on cq.BatchQueue: no element
+// lost or duplicated under concurrent push/pop, exactness in the unrelaxed
 // configuration, approximate-minimum quality of relaxed pops, panics on the
 // reserved priority, and — the subtlest clause — termination under the
 // in-flight-counter protocol when poppers race pushers, i.e. when Pop
@@ -11,11 +11,10 @@
 // Pop/scanPop empty-vs-racing-pusher edge that core.ParallelRun and
 // sssp.Parallel rely on).
 //
-// It also checks the batch layer (cq.BatchQueue) through every backend:
-// PushBatch/PopBatch lose no elements, cross safely with singleton ops
-// under concurrency, degenerate to exact priority order when unrelaxed,
-// and reject the reserved priority — whether the backend implements
-// batching natively or through the generic fallback.
+// It also checks the batch operations through every backend: PushBatch/
+// PopBatch lose no elements, cross safely with singleton ops under
+// concurrency, degenerate to exact priority order when unrelaxed, and
+// reject the reserved priority with the queue left untouched.
 package cqtest
 
 import (
@@ -31,12 +30,12 @@ import (
 // Factory builds a fresh queue for a simulated run shape, mirroring
 // cq.New's sizing parameters. The passed t is the invoking subtest's, so
 // construction failures are reported on the right test.
-type Factory func(t *testing.T, threads, queueMultiplier int) cq.Queue
+type Factory func(t *testing.T, threads, queueMultiplier int) cq.BatchQueue
 
 // ForBackend adapts cq.New for a named backend into a Factory, failing the
 // invoking subtest on construction errors.
 func ForBackend(b cq.Backend) Factory {
-	return func(t *testing.T, threads, queueMultiplier int) cq.Queue {
+	return func(t *testing.T, threads, queueMultiplier int) cq.BatchQueue {
 		t.Helper()
 		q, err := cq.New(b, threads, queueMultiplier)
 		if err != nil {
@@ -159,8 +158,8 @@ func testValuesPreservedSequential(t *testing.T, newQueue Factory) {
 func testApproxMin(t *testing.T, newQueue Factory) {
 	// A relaxed pop need not return the minimum, but it must return a
 	// small-rank element. N/4 is an extremely generous bound: the
-	// MultiQueue's 2-choice pop and the SprayList's spray both land within
-	// O(poly(p) polylog(N)) of the front with overwhelming probability.
+	// MultiQueues' 2-choice pops land within O(q log q) ranks of the front
+	// (q internal queues) with high probability.
 	const (
 		n      = 4096
 		trials = 3
@@ -243,11 +242,9 @@ func testConcurrentValuesPreserved(t *testing.T, newQueue Factory) {
 
 // testBatchSequentialDrain crosses the batch and singleton paths in both
 // directions: values pushed in batches must come back out through singleton
-// pops and vice versa, with nothing lost or duplicated. Queues built by
-// cq.New always support the batch API (natively or via the generic
-// fallback); AsBatch covers factories that hand back bare queues.
+// pops and vice versa, with nothing lost or duplicated.
 func testBatchSequentialDrain(t *testing.T, newQueue Factory) {
-	q := cq.AsBatch(newQueue(t, 2, 2))
+	q := newQueue(t, 2, 2)
 	r := rng.New(17)
 	const n = 2048
 	const batch = 64
@@ -318,7 +315,7 @@ func testBatchSequentialDrain(t *testing.T, newQueue Factory) {
 // PopBatch must return elements in priority order within and across
 // batches.
 func testBatchExactWhenUnrelaxed(t *testing.T, newQueue Factory) {
-	q := cq.AsBatch(newQueue(t, 1, 1))
+	q := newQueue(t, 1, 1)
 	r := rng.New(23)
 	const n = 512
 	perm := r.Perm(n)
@@ -343,12 +340,18 @@ func testBatchExactWhenUnrelaxed(t *testing.T, newQueue Factory) {
 	}
 }
 
+// testBatchReservedPriorityPanics checks that a batch holding the reserved
+// priority is rejected whole: the valid pair ahead of the reserved one must
+// not have been inserted when the panic surfaces.
 func testBatchReservedPriorityPanics(t *testing.T, newQueue Factory) {
-	q := cq.AsBatch(newQueue(t, 1, 1))
+	q := newQueue(t, 1, 1)
 	r := rng.New(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("PushBatch containing ReservedPriority did not panic")
+		}
+		if n := q.Len(); n != 0 {
+			t.Fatalf("Len = %d after rejected batch, want 0 (batch must be all-or-nothing)", n)
 		}
 	}()
 	q.PushBatch(r, []cq.Pair{{Value: 1, Priority: 3}, {Value: 0, Priority: cq.ReservedPriority}})
@@ -363,7 +366,7 @@ func testBatchConcurrentValuesPreserved(t *testing.T, newQueue Factory) {
 		perG       = 3000
 		batch      = 16
 	)
-	q := cq.AsBatch(newQueue(t, goroutines, 2))
+	q := newQueue(t, goroutines, 2)
 	seen := make([]atomic.Bool, goroutines*perG)
 	var popped atomic.Int64
 	record := func(v int64) {
@@ -434,10 +437,10 @@ func testBatchConcurrentValuesPreserved(t *testing.T, newQueue Factory) {
 
 // testScalingSmoke guards against the failure mode whose fix this suite
 // postdates: per-pop cost growing with the simulated contention width
-// until adding threads *lowers* pop throughput (the SprayList's negative
-// thread-scaling recorded through BENCH_PR3.json — every pop paid a
-// full-height search to unlink its victim, and failed claims rescanned
-// from the head). It prefills a threads-wide queue and times a full drain
+// until adding threads *lowers* pop throughput (the negative thread-scaling
+// of the since-retired concurrent SprayList backend, recorded through
+// BENCH_PR3.json — every pop paid a full-height search to unlink its
+// victim, and failed claims rescanned from the head). It prefills a threads-wide queue and times a full drain
 // by one popper vs threads poppers; the concurrent drain must retain a
 // quarter of the single-popper rate. The tolerance is deliberately
 // generous — this runs under -race, on shared CI machines, and on 1-core
@@ -511,7 +514,7 @@ func testHandleConformance(t *testing.T, newQueue Factory) {
 		workers = 8
 		perW    = 3000
 	)
-	q := cq.AsBatch(newQueue(t, workers, 2))
+	q := newQueue(t, workers, 2)
 	// Value space: workers*perW from the main loops, 64 per surviving
 	// worker, perW from the coordinator.
 	seen := make([]atomic.Bool, workers*perW+workers*64+perW)
@@ -619,8 +622,7 @@ func testHandleInjectedDeath(t *testing.T, newQueue Factory) {
 		workers = 8
 		perW    = 2000
 	)
-	raw := newQueue(t, workers, 2)
-	q := cq.AsBatch(raw)
+	q := newQueue(t, workers, 2)
 	seen := make([]atomic.Bool, workers*perW)
 	var popped atomic.Int64
 	record := func(v int64) {
@@ -701,7 +703,7 @@ func testHandleInjectedDeath(t *testing.T, newQueue Factory) {
 	// Reclamation liveness after the deaths: with every doomed handle
 	// closed, retired nodes must still mature into free lists. A dead
 	// handle that kept an epoch pinned would block reuse forever.
-	if rec, ok := raw.(cq.Recycler); ok && rec.RecyclesNodes() {
+	if rec, ok := q.(cq.Recycler); ok && rec.RecyclesNodes() {
 		for i := 0; i < 8192; i++ {
 			h.Push(r, int64(i%perW), int64(r.Intn(1<<16)))
 			h.Pop(r)
@@ -725,8 +727,7 @@ func testHandleInjectedDeath(t *testing.T, newQueue Factory) {
 // not a gate, since per-op allocation is only a contract where reuse is the
 // point of the design.
 func testAllocSteadyState(t *testing.T, newQueue Factory) {
-	raw := newQueue(t, 2, 2)
-	q := cq.AsBatch(raw)
+	q := newQueue(t, 2, 2)
 	h := cq.HandleFor(q)
 	defer h.Close()
 	r := rng.New(41)
@@ -743,7 +744,7 @@ func testAllocSteadyState(t *testing.T, newQueue Factory) {
 		h.Push(r, 1, int64(r.Intn(1<<16)))
 		h.Pop(r)
 	}) / 2
-	rec, ok := raw.(cq.Recycler)
+	rec, ok := q.(cq.Recycler)
 	if ok && rec.RecyclesNodes() {
 		// 0.25 leaves room for amortized noise (retirement-bin growth, free
 		// list reslicing) while still requiring that the overwhelming

@@ -11,10 +11,11 @@ import (
 // exactly 1 — the k = 1 scheduler of the paper's sequential model, realized
 // concurrently. It exists to be measured against: every coordination round
 // serializes on the single lock, which is precisely the bottleneck the
-// relaxed designs (MultiQueue, SprayList, lock-free MultiQueue) exist to
+// relaxed designs (the locked and lock-free MultiQueues) exist to
 // dissipate. Workloads where relaxation should win — the contended
 // transactional workload above all — quantify the win against this
-// backend's rows.
+// backend's rows. Batches take the mutex once, so batching amortizes the
+// lock here exactly as it does on the relaxed backends.
 type Exact struct {
 	mu   sync.Mutex
 	heap []Pair
@@ -26,32 +27,53 @@ func NewExact() *Exact {
 }
 
 // Push inserts a pair; the rng stream is unused (no randomized choices).
-func (q *Exact) Push(_ *rng.Xoshiro, value, priority int64) {
-	if priority == ReservedPriority {
-		panic("cq: push of ReservedPriority")
+func (q *Exact) Push(r *rng.Xoshiro, value, priority int64) {
+	q.PushBatch(r, []Pair{{Value: value, Priority: priority}})
+}
+
+// PushBatch inserts every pair under one lock acquisition. It validates the
+// whole batch first, so a reserved priority panics with the queue untouched.
+func (q *Exact) PushBatch(_ *rng.Xoshiro, pairs []Pair) {
+	for _, p := range pairs {
+		if p.Priority == ReservedPriority {
+			panic("cq: priority MaxInt64 is reserved")
+		}
 	}
 	q.mu.Lock()
-	q.heap = append(q.heap, Pair{Value: value, Priority: priority})
-	q.siftUp(len(q.heap) - 1)
+	for _, p := range pairs {
+		q.heap = append(q.heap, p)
+		q.siftUp(len(q.heap) - 1)
+	}
 	q.mu.Unlock()
 }
 
-// Pop removes and returns the global minimum-priority pair.
-func (q *Exact) Pop(_ *rng.Xoshiro) (value, priority int64, ok bool) {
-	q.mu.Lock()
-	n := len(q.heap)
-	if n == 0 {
-		q.mu.Unlock()
+// Pop removes and returns the global minimum-priority pair. It is PopBatch
+// with a batch of one.
+func (q *Exact) Pop(r *rng.Xoshiro) (value, priority int64, ok bool) {
+	var one [1]Pair
+	if q.PopBatch(r, one[:]) == 0 {
 		return 0, 0, false
 	}
-	top := q.heap[0]
-	q.heap[0] = q.heap[n-1]
-	q.heap = q.heap[:n-1]
-	if len(q.heap) > 0 {
-		q.siftDown(0)
+	return one[0].Value, one[0].Priority, true
+}
+
+// PopBatch removes the len(dst) smallest pairs (fewer if the queue holds
+// fewer) into dst, in priority order, under one lock acquisition.
+func (q *Exact) PopBatch(_ *rng.Xoshiro, dst []Pair) int {
+	q.mu.Lock()
+	n := 0
+	for n < len(dst) && len(q.heap) > 0 {
+		last := len(q.heap) - 1
+		dst[n] = q.heap[0]
+		q.heap[0] = q.heap[last]
+		q.heap = q.heap[:last]
+		if last > 0 {
+			q.siftDown(0)
+		}
+		n++
 	}
 	q.mu.Unlock()
-	return top.Value, top.Priority, true
+	return n
 }
 
 // NumQueues reports 1: a single shared structure.
@@ -92,3 +114,5 @@ func (q *Exact) siftDown(i int) {
 		i = min
 	}
 }
+
+var _ BatchQueue = (*Exact)(nil)

@@ -7,7 +7,7 @@ import "relaxsched/internal/rng"
 // locality — implement HandleQueue and hand out one Handle per worker;
 // everything a worker pushes or pops then flows through its handle.
 //
-// A Handle is single-goroutine: unlike the Queue methods it must not be
+// A Handle is single-goroutine: unlike the BatchQueue methods it must not be
 // shared. Handing a handle from the creating goroutine to its user is fine;
 // concurrent use from two goroutines is not. Close releases the worker's
 // backend resources (epoch slot, shard affinity) and must be called when
@@ -15,7 +15,7 @@ import "relaxsched/internal/rng"
 // reclamation until the garbage collector picks up the pieces, but never
 // blocks other workers. A closed handle must not be used again.
 //
-// The operations follow the Queue/BatchQueue contract exactly: Push panics
+// The operations follow the BatchQueue contract exactly: Push panics
 // on ReservedPriority, Pop's ok=false means the structure appeared empty,
 // and handle operations interleave safely with the queue-level methods and
 // with other workers' handles.
@@ -38,7 +38,7 @@ type Handle interface {
 
 // HandleQueue is a queue that benefits from per-worker handles. The
 // engine's workers and producers detect it and route their traffic through
-// pinned handles; the plain Queue/BatchQueue methods keep working for
+// pinned handles; the plain BatchQueue methods keep working for
 // callers without a worker identity (they borrow an anonymous handle per
 // operation).
 type HandleQueue interface {

@@ -48,9 +48,9 @@ import (
 // two-choice rank quality), so a worker's hot path keeps hitting cache
 // lines it already owns instead of scattering across all shards — the
 // per-core-data discipline of ddtxn applied to the MultiQueue. The plain
-// Queue/BatchQueue methods still work for identity-less callers by
-// borrowing an anonymous pooled handle per operation; anonymous handles
-// have no home shard and place uniformly, because an identity-less caller
+// BatchQueue methods still work for identity-less callers by borrowing an
+// anonymous pooled handle per operation; anonymous handles have no home
+// shard and place uniformly, because an identity-less caller
 // (a test filling the queue, the engine seeding its frontier) is one
 // goroutine standing in for many, and giving it a home would pile every
 // one of its pushes into a single shard.
@@ -68,7 +68,7 @@ type LockFreeMQ struct {
 	// affine disables home-shard preference when false (uniform two-choice
 	// everywhere) — the ablation knob behind NewLockFreeMQUniform.
 	affine bool
-	// anon pools single-operation handles for the plain Queue/BatchQueue
+	// anon pools single-operation handles for the plain BatchQueue
 	// methods; sync.Pool's per-P caching gives even anonymous callers
 	// stable epoch slots. Pooled handles have no home shard (home < 0).
 	anon sync.Pool
@@ -204,7 +204,7 @@ func (c *LockFreeMQ) NewHandle() Handle {
 	}
 }
 
-// borrow takes an anonymous pooled handle for one plain Queue/BatchQueue
+// borrow takes an anonymous pooled handle for one plain BatchQueue
 // operation.
 func (c *LockFreeMQ) borrow() *lfHandle {
 	return c.anon.Get().(*lfHandle)
@@ -449,7 +449,6 @@ func (h *lfHandle) takeFrom(s *lfshard, dst []Pair) int {
 }
 
 var (
-	_ Queue       = (*LockFreeMQ)(nil)
 	_ BatchQueue  = (*LockFreeMQ)(nil)
 	_ HandleQueue = (*LockFreeMQ)(nil)
 	_ Handle      = (*lfHandle)(nil)

@@ -275,7 +275,4 @@ func (h *pairHeap) pop() pair {
 	return top
 }
 
-var (
-	_ Queue      = (*MultiQueue)(nil)
-	_ BatchQueue = (*MultiQueue)(nil)
-)
+var _ BatchQueue = (*MultiQueue)(nil)

@@ -190,13 +190,12 @@ const (
 	// BackendMultiQueue is the lock-per-queue MultiQueue with 2-choice pops
 	// (the paper's Section 7 structure; the default).
 	BackendMultiQueue = cq.MultiQueueBackend
-	// BackendSprayList is the lazy lock-based skip list with spray-height
-	// pops (SprayList, PPoPP 2015).
-	BackendSprayList = cq.SprayListBackend
 	// BackendLockFree is the lock-free MultiQueue: each internal queue is
-	// an immutable pairing heap behind one atomic root pointer
-	// (Treiber-style), and pops CAS-steal the cached top. No operation
-	// ever holds a lock, so a preempted worker cannot block the others.
+	// a mutable pairing heap behind one atomic root pointer, taken whole by
+	// Swap and republished by CAS. Detached nodes are reclaimed through
+	// epochs and reused, and each worker's handle has a home shard it
+	// pushes to and pops from first. No operation ever holds a lock, so a
+	// preempted worker cannot block the others.
 	BackendLockFree = cq.LockFreeBackend
 	// BackendExact is the strict-order control: one binary heap behind one
 	// mutex, relaxation factor exactly 1. Use it to price relaxation

@@ -31,7 +31,7 @@
 #
 # Diff two recorded trajectories with
 #
-#   relaxbench compare BENCH_PR8.json BENCH_PR10.json
+#   relaxbench compare BENCH_PR10.json BENCH_PR13.json
 #
 # and gate on regressions with `compare -threshold PCT` (see CI's
 # bench-smoke job).
@@ -41,7 +41,7 @@ cd "$(dirname "$0")/.."
 SCALE="${SCALE:-64}"
 TRIALS="${TRIALS:-5}"
 MAXTHREADS="${MAXTHREADS:-4}"
-OUT="${OUT:-BENCH_PR10.json}"
+OUT="${OUT:-BENCH_PR13.json}"
 BUDGET="${BUDGET:-600}"
 
 EXPERIMENTS="batchsweep parinc parbnb parmis pardelaunay stream affinity chaos idlecost txn"
