@@ -1,11 +1,10 @@
 // Package engine is the generic parallel relaxed-execution engine behind
-// every concurrent path in this repository. It owns the worker loop that
-// core.ParallelRun, sssp.ParallelWith, bnb.ParallelRun and mis.ParallelGreedyMIS
-// all used to hand-roll: pop a (value, priority) pair from a concurrent
-// relaxed queue (any cq backend), hand it to the workload, and either
-// complete it, re-insert it (dependencies unmet), or push the tasks it
-// spawned — with batch-amortized queue traffic and contention-free
-// termination detection shared by every workload.
+// every concurrent path in this repository. It owns the one worker loop:
+// pop a (value, priority) pair from a concurrent relaxed queue (any cq
+// backend), hand it to the workload, and either complete it, re-insert it
+// (dependencies unmet), or push the tasks it spawned — with
+// batch-amortized queue traffic and contention-free termination detection
+// shared by every workload.
 //
 // An algorithm plugs in by implementing Workload: Frontier emits the
 // initial task pairs, and TryExecute attempts one popped task, spawning
@@ -26,14 +25,12 @@
 // frontier or from Ctx.Spawn inside a worker. Start opens the system to
 // external producers — Producer handles created with Execution.NewProducer
 // stream prioritized tasks into the queue while workers drain — and
-// termination is then redefined as "all registered producers closed AND
+// termination is then redefined as "all declared producers closed AND
 // in-flight quiescent" (the producer tallies and an open-producer count
 // join the same double scan; see internal/inflight's package comment for
-// why the extension stays provably safe). Producers may be declared up
-// front (Options.Producers) or registered dynamically after Start with
-// NewProducer/TryNewProducer; the first observed quiescence seals the
-// execution, so a late registration fails cleanly instead of streaming
-// into a terminated pool.
+// why the extension stays provably safe). The producer set is fixed up
+// front by Options.Producers, and the worker pool is exactly Threads
+// goroutines.
 //
 // # Idle path: parking, not polling
 //
@@ -216,31 +213,15 @@ type ExecOptions struct {
 }
 
 // Options configure a Run or Start: the shared ExecOptions plus the
-// pool-shape knobs only the engine itself interprets (external producer
-// declarations and the elastic worker range).
+// external producer declaration only the engine itself interprets.
 type Options struct {
 	ExecOptions
 	// Producers declares how many external producer handles will be created
 	// with Execution.NewProducer (>= 0). With a non-zero count the execution
 	// is an open system: termination additionally waits for every declared
 	// producer to be created and closed. Run requires 0 (closed world); use
-	// Start for streaming executions. Additional producers beyond the
-	// declared count may be registered dynamically after Start — but an
-	// execution with zero declared producers and an empty frontier
-	// terminates immediately, so a service that starts idle must declare at
-	// least one producer to hold the pool open.
+	// Start for streaming executions.
 	Producers int
-	// MinWorkers and MaxWorkers, when MaxWorkers > 0, make the worker pool
-	// elastic: MaxWorkers goroutines are created, Threads of them start
-	// active, and a controller grows the active set toward MaxWorkers under
-	// sustained queue depth and shrinks it toward max(MinWorkers, 1) when
-	// the queue stays empty. Deactivated workers retire to parked reserve
-	// (they still finish any task they pop, so correctness never depends on
-	// the controller) and rejoin within one wake. Requires MinWorkers <=
-	// Threads <= MaxWorkers. MaxWorkers == 0 (the default) keeps the fixed
-	// pool of exactly Threads workers.
-	MinWorkers int
-	MaxWorkers int
 }
 
 // Stats is the engine's execution accounting, summed over all workers.
@@ -353,12 +334,11 @@ func Run(wl Workload, opts Options) (Result, error) {
 
 // Start validates the options, seeds the frontier and launches the worker
 // pool, returning an Execution handle. With opts.Producers > 0 the run is
-// an open system: the caller creates that many Producer handles with
-// NewProducer (plus any later dynamic ones), feeds the frontier through
-// them, closes each, and then Wait returns once every task — seeded,
-// spawned and streamed alike — has been completed. Idle workers park and
-// consume no CPU; every push wakes them, a producer closing while every
-// worker is parked broadcasts, and
+// an open system: the caller creates exactly that many Producer handles
+// with NewProducer, feeds the frontier through them, closes each, and then
+// Wait returns once every task — seeded, spawned and streamed alike — has
+// been completed. Idle workers park and consume no CPU; every push wakes
+// them, a producer closing while every worker is parked broadcasts, and
 // the first worker to observe quiescence broadcasts before exiting, so
 // termination stays prompt with nobody polling (see the package comment
 // for the full argument).
@@ -372,24 +352,13 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 	if opts.Producers < 0 {
 		return nil, fmt.Errorf("engine: need Producers >= 0, got %d", opts.Producers)
 	}
-	if opts.MaxWorkers < 0 || opts.MinWorkers < 0 {
-		return nil, fmt.Errorf("engine: need MinWorkers, MaxWorkers >= 0, got %d, %d", opts.MinWorkers, opts.MaxWorkers)
-	}
-	pool := opts.Threads
-	if opts.MaxWorkers > 0 {
-		if opts.MaxWorkers < opts.Threads || opts.MinWorkers > opts.Threads {
-			return nil, fmt.Errorf("engine: elastic pool needs MinWorkers <= Threads <= MaxWorkers, got %d <= %d <= %d",
-				opts.MinWorkers, opts.Threads, opts.MaxWorkers)
-		}
-		pool = opts.MaxWorkers
-	}
-	mq, err := cq.New(opts.Backend, pool, opts.QueueMultiplier)
+	mq, err := cq.New(opts.Backend, opts.Threads, opts.QueueMultiplier)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 
 	seedRng := rng.New(opts.Seed)
-	counters := inflight.NewOpen(pool, opts.Producers)
+	counters := inflight.NewOpen(opts.Threads, opts.Producers)
 	wl.Frontier(func(value, priority int64) {
 		// Produce before the push makes the pair visible, exactly as
 		// Ctx.Spawn does on the hot path. No wake needed: workers have not
@@ -404,21 +373,14 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 	e := &Execution{
 		mq:         mq,
 		counters:   counters,
-		lot:        park.NewLot(pool),
+		lot:        park.NewLot(opts.Threads),
 		seedRng:    seedRng,
-		threads:    opts.Threads,
-		pool:       pool,
-		minWorkers: max(opts.MinWorkers, 1),
-		elastic:    opts.MaxWorkers > 0,
 		batch:      opts.BatchSize,
-		declared:   opts.Producers,
-		workers:    make([]workerState, pool),
+		workers:    make([]workerState, opts.Threads),
 		maxRetries: opts.MaxBlockedRetries,
 		injector:   opts.Injector,
-		donec:      make(chan struct{}),
 	}
-	e.active.Store(int32(opts.Threads))
-	for t := 0; t < pool; t++ {
+	for t := 0; t < opts.Threads; t++ {
 		e.wg.Add(1)
 		go func(w int, r *rng.Xoshiro) {
 			defer e.wg.Done()
@@ -430,75 +392,27 @@ func Start(wl Workload, opts Options) (*Execution, error) {
 			ws.phase.Store(int32(PhaseExited))
 		}(t, seedRng.Split())
 	}
-	// The donec closer is the fan-in the watchdog, deadline timer and
-	// elastic controller hang off; spawn it only when someone is listening.
-	if opts.StallTimeout > 0 || opts.Deadline > 0 || e.elastic {
-		go func() {
-			e.wg.Wait()
-			close(e.donec)
-		}()
-	}
 	if opts.Deadline > 0 {
 		e.deadline = time.AfterFunc(opts.Deadline, e.Stop)
 	}
 	if opts.StallTimeout > 0 {
+		// donec is the watchdog's exit signal, closed once every worker
+		// has exited.
+		e.donec = make(chan struct{})
+		go func() {
+			e.wg.Wait()
+			close(e.donec)
+		}()
 		go e.watchdog(opts.StallTimeout, opts.OnStall)
 	}
-	if e.elastic {
-		go e.controller()
-	}
 	return e, nil
-}
-
-// controller is the elastic-pool policy loop: it samples live (queued or
-// executing) task counts and resizes the active worker set between
-// minWorkers and the pool size. Growth is aggressive — a sustained backlog
-// beyond ~2 tasks per active worker doubles the set and wakes the reserve,
-// so a burst ramps to full width within a couple of ticks — while shrink
-// is lazy (a steady empty queue retires one worker per quiet stretch),
-// since an over-wide idle pool costs nothing once parked. Correctness
-// never depends on this loop: retired workers park exactly like idle
-// active ones, still finish any task they pop, and every worker re-checks
-// the queue on wake regardless of its active status.
-func (e *Execution) controller() {
-	const (
-		tick        = time.Millisecond
-		shrinkAfter = 50 // quiet ticks (~50ms) per single-worker retire
-	)
-	ticker := time.NewTicker(tick)
-	defer ticker.Stop()
-	quiet := 0
-	for {
-		select {
-		case <-e.donec:
-			return
-		case <-ticker.C:
-		}
-		live := e.counters.Live()
-		act := int(e.active.Load())
-		switch {
-		case live > int64(2*act) && act < e.pool:
-			grown := min(act*2, e.pool)
-			e.active.Store(int32(grown))
-			e.lot.Wake(grown - act)
-			quiet = 0
-		case live == 0 && act > e.minWorkers:
-			if quiet++; quiet >= shrinkAfter {
-				e.active.Store(int32(act - 1))
-				quiet = 0
-			}
-		default:
-			quiet = 0
-		}
-	}
 }
 
 // idle is the shared empty-queue path, called with the worker's out-buffer
 // already flushed (the loops flush before any idle step, so a parked
 // worker never holds invisible pairs) and the phase published as Idle. It
-// returns the next idle count. The backoff prefix runs first — unless the
-// worker has been retired by the elastic controller, which parks at once —
-// and then the worker parks: sample the wakeup token, take the cheap outs
+// returns the next idle count. The backoff prefix runs first, and then
+// the worker parks: sample the wakeup token, take the cheap outs
 // (a stop or visible quiescence is about to end the loop anyway; a
 // non-empty queue means a push already landed), announce, and let
 // park.Lot's cancel callback re-check all three *after* the announce —
@@ -507,8 +421,7 @@ func (e *Execution) controller() {
 // full speed at least once before it can park again, so a wake handed to
 // it by a producer is never re-parked away without a pop attempt.
 func (e *Execution) idle(ctx *Ctx, ws *workerState, idle int) int {
-	retired := e.elastic && ctx.Worker >= int(e.active.Load())
-	if !retired && idle < idleYields+parkAfterSleeps {
+	if idle < idleYields+parkAfterSleeps {
 		idleWait(idle)
 		return idle + 1
 	}
@@ -573,7 +486,8 @@ func (e *Execution) workerBatched(wl Workload, ctx *Ctx, ws *workerState) {
 			}
 			if counters.Quiescent() {
 				// Broadcast before exiting: parked peers re-run this same
-				// check on wake, observe the sealed quiescence and exit too.
+				// check on wake, observe the same (permanent) quiescence
+				// and exit too.
 				e.lot.WakeAll()
 				break
 			}

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,11 +11,6 @@ import (
 	"relaxsched/internal/rng"
 )
 
-// ErrTerminated is returned by TryNewProducer once the execution has
-// terminated: quiescence was observed and sealed, the workers are exiting
-// or gone, and no new producer may stream into the pool.
-var ErrTerminated = errors.New("engine: execution already terminated")
-
 // Execution is a running engine instance as returned by Start: the worker
 // pool is live, and the caller holds the handle to create producers, to
 // Stop the run early and to wait for termination. The closed-world Run is
@@ -25,23 +19,12 @@ type Execution struct {
 	mq       cq.BatchQueue
 	counters *inflight.Counter
 	lot      *park.Lot
-	threads  int
 	batch    int
-	declared int
 
-	// Elastic pool state: pool is the goroutine count (MaxWorkers, or
-	// Threads when not elastic); active is the controller-managed size of
-	// the non-retired worker set.
-	pool       int
-	minWorkers int
-	elastic    bool
-	active     atomic.Int32
-
-	// mu guards seedRng (Split mutates it) and created; Start finishes its
-	// own splits before returning, so worker streams never race these.
+	// mu guards seedRng (Split mutates it); Start finishes its own splits
+	// before returning, so worker streams never race NewProducer's.
 	mu      sync.Mutex
 	seedRng *rng.Xoshiro
-	created int
 
 	// workers are the per-worker shared stat blocks (see watchdog.go):
 	// written by their worker, read by the watchdog and Wait.
@@ -61,7 +44,7 @@ type Execution struct {
 	interrupted atomic.Bool
 	deadline    *time.Timer
 	// stall is the latest watchdog report; donec closes when every worker
-	// has exited (allocated only when a watchdog or deadline is armed).
+	// has exited (allocated only when the watchdog is armed).
 	stall atomic.Pointer[StallReport]
 	donec chan struct{}
 
@@ -70,49 +53,22 @@ type Execution struct {
 	waitOnce sync.Once
 }
 
-// NewProducer returns an external producer handle. The first
-// Options.Producers calls claim the declared registrations (the execution
+// NewProducer returns the next of the Options.Producers declared external
+// producer handles and panics beyond the declared count. The execution
 // cannot terminate before every declared producer has been created and
-// closed, so these never race a finished run); further calls register
-// dynamically and panic if the execution has already terminated — use
-// TryNewProducer where that race is expected. It is safe to call from any
-// goroutine, but each returned Producer must then be used by a single
+// closed, so a handle never races a finished run. It is safe to call from
+// any goroutine, but each returned Producer must then be used by a single
 // goroutine at a time.
 func (e *Execution) NewProducer() *Producer {
-	p, err := e.TryNewProducer()
-	if err != nil {
-		panic("engine: NewProducer on a terminated execution (declare producers up front, or use TryNewProducer)")
-	}
-	return p
-}
-
-// TryNewProducer returns an external producer handle, registering it
-// dynamically once the declared count is exhausted. It fails with
-// ErrTerminated if the execution has already terminated: the registration
-// handshake (inflight's seal; see that package's comment) guarantees that
-// a success here means the workers will serve everything the producer
-// streams, and a terminated execution yields this error rather than a
-// silently dead producer. On a stopped-but-unfinished execution it still
-// succeeds, returning a producer whose pushes are absorbed — the same
-// semantics every live producer has after Stop.
-func (e *Execution) TryNewProducer() (*Producer, error) {
+	ps := e.counters.Attach()
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	var ps *inflight.ProducerSlot
-	if e.created < e.declared {
-		ps = e.counters.Attach()
-	} else {
-		var ok bool
-		if ps, ok = e.counters.Register(); !ok {
-			return nil, ErrTerminated
-		}
-	}
-	e.created++
+	r := e.seedRng.Split()
+	e.mu.Unlock()
 	return &Producer{
 		exec:    e,
 		slot:    ps,
-		pushBuf: newPushBuf(e.seedRng.Split(), cq.HandleFor(e.mq), e.lot, e.batch),
-	}, nil
+		pushBuf: newPushBuf(r, cq.HandleFor(e.mq), e.lot, e.batch),
+	}
 }
 
 // ParkedWorkers returns the number of workers currently parked on the
@@ -120,12 +76,6 @@ func (e *Execution) TryNewProducer() (*Producer, error) {
 // (tests and idle-cost measurements read it then).
 func (e *Execution) ParkedWorkers() int {
 	return e.lot.Parked()
-}
-
-// ActiveWorkers returns the elastic controller's current active-set size
-// (Threads when the pool is not elastic).
-func (e *Execution) ActiveWorkers() int {
-	return int(e.active.Load())
 }
 
 // Wait blocks until the execution terminates — every declared producer
@@ -232,7 +182,7 @@ func (p *Producer) Flush() {
 
 // Close flushes any buffered pairs, releases the producer's queue handle
 // (its epoch slot, on backends that have one) and marks the producer done.
-// Once every registered producer has closed and the queue drains, the
+// Once every declared producer has closed and the queue drains, the
 // workers terminate. Closing broadcasts to parked workers: the close that
 // completes the termination condition may land while every worker is
 // asleep, and the woken workers re-run the quiescence scan and exit. Close

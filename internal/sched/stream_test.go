@@ -231,22 +231,3 @@ func TestParallelTopKLatencyQuantiles(t *testing.T) {
 			res.LatencyP50, res.LatencyP99, res.LatencyP999)
 	}
 }
-
-// The elastic pool options thread through to the engine: worker indices
-// range over MaxWorkers, so the per-worker logs and latency histograms must
-// be pool-sized (an undersized slice panics the run).
-func TestTopKStreamElasticPool(t *testing.T) {
-	res, err := ParallelTopK(TopKRunOptions{
-		StreamOptions:   StreamOptions{ExecOptions: engine.ExecOptions{Threads: 2, QueueMultiplier: 2, Seed: 43}, Producers: 4, MinWorkers: 1, MaxWorkers: 8},
-		JobsPerProducer: 2000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs != 8000 {
-		t.Fatalf("executed %d of 8000 jobs", res.Jobs)
-	}
-	if res.LatencyP50 <= 0 {
-		t.Fatalf("latency tracking dead under the elastic pool: p50=%v", res.LatencyP50)
-	}
-}

@@ -174,15 +174,10 @@ func RunIncremental(dag *DAG, s Scheduler, opts RunOptions) (RunResult, error) {
 //	relaxsched.ParallelSSSPWith(g, 0, relaxsched.ParallelSSSPOptions{
 //		ExecOptions: relaxsched.ExecOptions{Threads: 8, QueueMultiplier: 2},
 //	})
-//
-// Migration note: before this redesign each struct declared the fields
-// directly, so keyed literals like ParallelSSSPOptions{Threads: 8} must
-// become the nested form above. Field *reads* are unaffected — embedding
-// promotes the fields, so opts.Threads still works.
 type ExecOptions = engine.ExecOptions
 
-// QueueBackend names a concurrent relaxed-queue implementation used by the
-// parallel execution paths (RunIncrementalParallel, ParallelSSSPWith). The
+// QueueBackend names a concurrent relaxed-queue implementation. Every
+// parallel execution path selects one through ExecOptions.Backend; the
 // zero value selects the default backend.
 type QueueBackend = cq.Backend
 
